@@ -19,7 +19,7 @@
 //!   applies the pruning for real via [`RuleGoalGraph::retain`].
 //! * **Cardinality & partition planning** ([`plan`]): relation-size and
 //!   per-link message-volume estimates from EDB row/distinct/degree
-//!   statistics (`MP404` hot links, batch-size hints), and SIP-key
+//!   statistics (`MP404` hot links), and SIP-key
 //!   partition inference — the hash key each temporary relation would
 //!   shard by under ROADMAP item 1's K-way evaluation, or `MP405` when
 //!   no key is consistent with every link.
@@ -127,17 +127,16 @@ impl Analysis {
             self.strata.count().max(1)
         ));
         out.push_str(&format!(
-            "{:<5} {:<9} {:>10} {:>10} {:>5}  {:<12} {:>3} {:>5}  node\n",
-            "id", "kind", "card", "volume", "batch", "partition", "fan", "strat"
+            "{:<5} {:<9} {:>10} {:>10}  {:<12} {:>3} {:>5}  node\n",
+            "id", "kind", "card", "volume", "partition", "fan", "strat"
         ));
         for a in &self.nodes {
             out.push_str(&format!(
-                "#{:<4} {:<9} {:>10} {:>10} {:>5}  {:<12} {:>3} {:>5}  {}{}\n",
+                "#{:<4} {:<9} {:>10} {:>10}  {:<12} {:>3} {:>5}  {}{}\n",
                 a.id,
                 a.kind,
                 fmt_card(a.card),
                 fmt_card(a.volume),
-                a.batch_hint,
                 a.partition.render(),
                 a.fan_out(shards),
                 a.stratum,
@@ -179,14 +178,13 @@ impl Analysis {
             };
             out.push_str(&format!(
                 "    {{\"id\": {}, \"kind\": \"{}\", \"desc\": \"{}\", \
-                 \"card\": \"{}\", \"volume\": \"{}\", \"batch_hint\": {}, \
+                 \"card\": \"{}\", \"volume\": \"{}\", \
                  \"partition\": \"{}\", \"key\": {}, \"stratum\": {}, \"pruned\": {}}}{}\n",
                 a.id,
                 a.kind,
                 json_escape(&a.desc),
                 fmt_card(a.card),
                 fmt_card(a.volume),
-                a.batch_hint,
                 part,
                 key,
                 a.stratum,
@@ -414,11 +412,10 @@ pub fn analyze(
                     Code::HotLink,
                     format!(
                         "hot link: node #{} ({}) is estimated to send ~{} answer tuples; \
-                         consider --batch-size {} or larger",
+                         consider a larger --batch-size",
                         a.id,
                         a.desc,
-                        fmt_card(a.volume),
-                        a.batch_hint
+                        fmt_card(a.volume)
                     ),
                 )
                 .with_note("estimate from EDB row/distinct statistics; advisory only"),
@@ -573,8 +570,6 @@ mod tests {
         };
         let a = analyze(&program, &db, &graph, None, &opts);
         assert!(a.diagnostics.iter().any(|d| d.code == Code::HotLink));
-        // Hints scale with volume and stay in the data plane's range.
-        assert!(a.nodes.iter().all(|n| (1..=1024).contains(&n.batch_hint)));
     }
 
     #[test]

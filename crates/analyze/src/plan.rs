@@ -1,5 +1,5 @@
 //! Per-node annotation planning: cardinality and message-volume
-//! estimates, batch-size hints, and SIP-key partition inference.
+//! estimates and SIP-key partition inference.
 //!
 //! Cardinality runs a bounded fixpoint over the rule/goal graph using the
 //! EDB statistics (`DbStats` row/distinct counts) and the inferred column
@@ -98,8 +98,6 @@ pub struct NodeAnnotation {
     pub card: f64,
     /// Estimated answer tuples sent: `card × customer links`.
     pub volume: f64,
-    /// Suggested `--batch-size` for this node's output links.
-    pub batch_hint: u32,
     /// Inferred shard placement for the node's temporary relation.
     pub partition: PartitionKey,
     /// Stratum of the node's predicate under the stratification plan
@@ -126,14 +124,6 @@ impl NodeAnnotation {
             1
         }
     }
-}
-
-/// A batch-size suggestion from an estimated link volume: one flush per
-/// ~64 tuples, rounded to a power of two, clamped to the data plane's
-/// sensible range.
-fn batch_hint(volume: f64) -> u32 {
-    let v = volume.clamp(0.0, CARD_CEILING) as u64;
-    ((v / 64).max(1).next_power_of_two() as u32).min(1024)
 }
 
 /// Width of one (predicate, column) domain: exact sort size when known,
@@ -613,7 +603,6 @@ pub fn annotate(
                 desc: node.describe(),
                 card: c,
                 volume,
-                batch_hint: batch_hint(volume),
                 request_keyed: is_request_keyed(graph, id, &partitions[id]),
                 partition: partitions[id].clone(),
                 stratum: strata.stratum(pred),

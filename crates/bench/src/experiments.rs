@@ -1221,7 +1221,9 @@ pub fn e12(scale: Scale) -> Vec<E12Row> {
                 for _ in 0..reps {
                     let eng = Engine::new(w.program.clone(), w.db.clone())
                         .with_runtime(kind)
-                        .with_timeout(std::time::Duration::from_secs(60))
+                        .with_budget(
+                            QueryBudget::new().with_deadline(std::time::Duration::from_secs(60)),
+                        )
                         .with_trace(traced);
                     let t0 = Instant::now();
                     let r = eng.evaluate().expect("e12 run");
@@ -1323,7 +1325,9 @@ pub fn e13(scale: Scale) -> Vec<E13Row> {
             for _ in 0..reps {
                 let eng = Engine::new(w.program.clone(), w.db.clone())
                     .with_runtime(RuntimeKind::Threads)
-                    .with_timeout(std::time::Duration::from_secs(120))
+                    .with_budget(
+                        QueryBudget::new().with_deadline(std::time::Duration::from_secs(120)),
+                    )
                     .with_workers(workers);
                 let t0 = Instant::now();
                 let r = eng.evaluate().expect("e13 pooled run");
@@ -1430,9 +1434,9 @@ pub fn e15(scale: Scale) -> Vec<E15Row> {
             for &k in ks {
                 let mut eng = Engine::new(w.program.clone(), w.db.clone()).with_shards(k);
                 if runtime == "threads" {
-                    eng = eng
-                        .with_runtime(RuntimeKind::Threads)
-                        .with_timeout(std::time::Duration::from_secs(120));
+                    eng = eng.with_runtime(RuntimeKind::Threads).with_budget(
+                        QueryBudget::new().with_deadline(std::time::Duration::from_secs(120)),
+                    );
                 }
                 let t0 = Instant::now();
                 let r = eng.evaluate().expect("e15 sharded run");
@@ -1528,9 +1532,9 @@ pub fn e16(scale: Scale) -> Vec<E16Row> {
             for &k in ks {
                 let mut eng = Engine::new(w.program.clone(), w.db.clone()).with_shards(k);
                 if runtime == "threads" {
-                    eng = eng
-                        .with_runtime(RuntimeKind::Threads)
-                        .with_timeout(std::time::Duration::from_secs(120));
+                    eng = eng.with_runtime(RuntimeKind::Threads).with_budget(
+                        QueryBudget::new().with_deadline(std::time::Duration::from_secs(120)),
+                    );
                 }
                 let t0 = Instant::now();
                 let r = eng.evaluate().expect("e16 staged run");

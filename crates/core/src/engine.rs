@@ -11,14 +11,15 @@ use mp_lint::Diagnostic;
 use mp_rulegoal::{GraphError, RuleGoalGraph, SipKind};
 use mp_storage::{AggError, Relation, Tuple};
 use std::collections::BTreeSet;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Which runtime executes the network.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RuntimeKind {
     /// Deterministic single-threaded simulation with the given schedule.
     Sim(Schedule),
-    /// One OS thread per node over crossbeam channels.
+    /// A fixed-size worker pool with work-stealing activation deques
+    /// over per-node mailboxes (sized by [`Engine::with_workers`]).
     Threads,
 }
 
@@ -261,22 +262,6 @@ impl Engine {
     /// returns [`RuntimeError::Cancelled`] with the partial answers.
     pub fn cancel_token(&self) -> CancelToken {
         self.cancel.clone()
-    }
-
-    /// Cap the step budget. Deprecated shim: forwards to the
-    /// [`QueryBudget`] — use `with_budget(QueryBudget::new()
-    /// .with_max_steps(..))` in new code.
-    pub fn with_max_steps(mut self, max_steps: u64) -> Engine {
-        self.budget.max_steps = max_steps;
-        self
-    }
-
-    /// Cap the wall-clock budget. Deprecated shim: forwards to the
-    /// [`QueryBudget`] — use `with_budget(QueryBudget::new()
-    /// .with_deadline(..))` in new code.
-    pub fn with_timeout(mut self, timeout: Duration) -> Engine {
-        self.budget.deadline = timeout;
-        self
     }
 
     /// Size the threaded runtime's worker pool. `0` (the default) sizes
@@ -1210,7 +1195,7 @@ mod tests {
     #[test]
     fn divergence_guard_fires() {
         let err = tc_engine(&[(0, 1), (1, 0)], 0)
-            .with_max_steps(5)
+            .with_budget(QueryBudget::new().with_max_steps(5))
             .evaluate()
             .unwrap_err();
         assert!(matches!(

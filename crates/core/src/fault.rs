@@ -210,13 +210,16 @@ fn roll(h: u64, salt: u64) -> f64 {
 /// Sender half of one reliable link: assigns monotone sequence numbers
 /// and holds every unacked message for retransmission. The buffer is
 /// durable across receiver crashes (write-ahead semantics): whatever was
-/// logically sent will eventually be delivered exactly once.
-#[derive(Clone, Debug, Default)]
-pub struct SenderLink {
+/// logically sent will eventually be delivered exactly once. The link
+/// never looks inside what it carries, so the driver parameterises it
+/// with the message *and* its causal stamp — a retransmitted or
+/// reorder-buffered frame keeps the stamp of its one logical send.
+#[derive(Clone, Debug)]
+pub struct SenderLink<T = Msg> {
     /// Next sequence number to assign.
     pub next_seq: u64,
     /// Sent but not yet cumulatively acked, by sequence number.
-    pub unacked: BTreeMap<u64, Msg>,
+    pub unacked: BTreeMap<u64, T>,
     /// Timestamp (steps or ms) of the last send/retransmit activity.
     pub last_activity: u64,
     /// Consecutive retransmission rounds without an ack.
@@ -232,9 +235,22 @@ pub struct SenderLink {
     pub wire_hi: u64,
 }
 
-impl SenderLink {
+impl<T> Default for SenderLink<T> {
+    fn default() -> Self {
+        SenderLink {
+            next_seq: 0,
+            unacked: BTreeMap::new(),
+            last_activity: 0,
+            retries: 0,
+            window: None,
+            wire_hi: 0,
+        }
+    }
+}
+
+impl<T: Clone> SenderLink<T> {
     /// Register a logical send; returns the assigned sequence number.
-    pub fn send(&mut self, msg: Msg, now: u64) -> u64 {
+    pub fn send(&mut self, msg: T, now: u64) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.unacked.insert(seq, msg);
@@ -286,7 +302,7 @@ impl SenderLink {
     /// Stalled frames that the last cumulative ack just released into
     /// the window, oldest first; marks them transmitted. The caller
     /// puts each on the wire (first attempt).
-    pub fn release(&mut self) -> Vec<(u64, Msg)> {
+    pub fn release(&mut self) -> Vec<(u64, T)> {
         let Some(w) = self.window else {
             return Vec::new();
         };
@@ -315,29 +331,38 @@ impl SenderLink {
 /// restores per-link FIFO order. `next_expected` is durable (it mirrors
 /// the length of the durable delivery log); the reorder buffer is
 /// volatile and cleared on crash — retransmission repopulates it.
-#[derive(Clone, Debug, Default)]
-pub struct ReceiverLink {
+#[derive(Clone, Debug)]
+pub struct ReceiverLink<T = Msg> {
     /// The next in-order sequence number.
     pub next_expected: u64,
     /// Out-of-order arrivals waiting for the gap to fill.
-    pub reorder: BTreeMap<u64, Msg>,
+    pub reorder: BTreeMap<u64, T>,
+}
+
+impl<T> Default for ReceiverLink<T> {
+    fn default() -> Self {
+        ReceiverLink {
+            next_expected: 0,
+            reorder: BTreeMap::new(),
+        }
+    }
 }
 
 /// What [`ReceiverLink::accept`] did with a frame.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Accepted {
+pub enum Accepted<T = Msg> {
     /// The frame (plus any reorder-buffered successors) is deliverable,
     /// in order.
-    Deliver(Vec<Msg>),
+    Deliver(Vec<T>),
     /// Already delivered — a transport-level duplicate; re-ack and drop.
     Duplicate,
     /// Out of order — buffered until the gap fills; ack not advanced.
     Buffered,
 }
 
-impl ReceiverLink {
+impl<T> ReceiverLink<T> {
     /// Accept one data frame.
-    pub fn accept(&mut self, seq: u64, msg: Msg) -> Accepted {
+    pub fn accept(&mut self, seq: u64, msg: T) -> Accepted<T> {
         use std::cmp::Ordering;
         match seq.cmp(&self.next_expected) {
             Ordering::Less => Accepted::Duplicate,

@@ -24,9 +24,10 @@
 //!   simulator with per-node FIFO mailboxes and pluggable scheduling
 //!   (global-FIFO or seeded-random), which also counts every message —
 //!   the observable the paper's efficiency arguments are about;
-//! * [`ThreadRuntime`](runtime::ThreadRuntime) — one OS thread per node
-//!   over crossbeam channels, demonstrating the paper's parallelism claim
-//!   with genuinely no shared intermediate state.
+//! * [`ThreadRuntime`](runtime::ThreadRuntime) — a fixed-size worker pool
+//!   with work-stealing activation deques over per-node mailboxes,
+//!   demonstrating the paper's parallelism claim with genuinely no shared
+//!   intermediate state.
 //!
 //! The top-level entry point is [`Engine`].
 

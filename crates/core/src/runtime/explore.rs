@@ -33,10 +33,11 @@
 //! hitting any bound sets [`ExploreReport::truncated`] rather than
 //! failing. Intended for the small programs in tests, not benchmarks.
 
-use crate::msg::{Endpoint, Msg, Payload};
+use crate::msg::{Endpoint, Msg};
 use crate::node::{Ctx, Network};
+use crate::runtime::transport::{query_messages, EngineSink};
 use crate::stats::Stats;
-use mp_storage::{Relation, Tuple};
+use mp_storage::Tuple;
 use std::collections::VecDeque;
 
 /// Search bounds for [`explore`].
@@ -138,8 +139,7 @@ struct State {
     /// Undelivered messages in send order. Delivering index 0 is the
     /// FIFO baseline; any other index spends delay budget.
     queue: VecDeque<Msg>,
-    answers: Relation,
-    end_seen: bool,
+    sink: EngineSink,
     delays_left: u32,
     /// Queue positions chosen so far (for violation reports).
     schedule: Vec<usize>,
@@ -193,33 +193,16 @@ impl State {
         let msg = self.queue.remove(pos).expect("candidate position exists");
         self.schedule.push(pos);
         match msg.to {
-            Endpoint::Engine => match msg.payload {
-                Payload::Answer { tuple } => {
-                    if self.end_seen {
-                        return Err(ScheduleViolation::AnswerAfterEnd {
-                            schedule: self.schedule.clone(),
-                        });
-                    }
-                    self.answers
-                        .insert(tuple)
-                        .expect("answers match the goal arity");
+            Endpoint::Engine => {
+                self.sink
+                    .accept(msg)
+                    .expect("nodes send the engine goal-arity answers and ends only");
+                if self.sink.post_end_answers > 0 {
+                    return Err(ScheduleViolation::AnswerAfterEnd {
+                        schedule: self.schedule.clone(),
+                    });
                 }
-                Payload::AnswerBatch { tuples } => {
-                    if self.end_seen {
-                        return Err(ScheduleViolation::AnswerAfterEnd {
-                            schedule: self.schedule.clone(),
-                        });
-                    }
-                    for tuple in tuples {
-                        self.answers
-                            .insert(tuple)
-                            .expect("answers match the goal arity");
-                    }
-                }
-                Payload::End => self.end_seen = true,
-                Payload::EndTupleRequest { .. } | Payload::EndTupleRequestBatch { .. } => {}
-                other => unreachable!("unexpected message to engine: {other:?}"),
-            },
+            }
             Endpoint::Node(id) => {
                 let mailbox_empty = !self.queue.iter().any(|m| m.to == Endpoint::Node(id));
                 let mut ctx = Ctx {
@@ -253,30 +236,10 @@ pub fn explore_with_requests(
     requests: impl IntoIterator<Item = Tuple>,
     config: ExploreConfig,
 ) -> Result<ExploreReport, ScheduleViolation> {
-    let root = Endpoint::Node(network.root);
-    let mut queue = VecDeque::new();
-    queue.push_back(Msg {
-        from: Endpoint::Engine,
-        to: root,
-        payload: Payload::RelationRequest,
-    });
-    for b in requests {
-        queue.push_back(Msg {
-            from: Endpoint::Engine,
-            to: root,
-            payload: Payload::TupleRequest { binding: b },
-        });
-    }
-    queue.push_back(Msg {
-        from: Endpoint::Engine,
-        to: root,
-        payload: Payload::EndOfRequests,
-    });
     let root_state = State {
         network: network.clone(),
-        queue,
-        answers: Relation::new(network.answer_arity),
-        end_seen: false,
+        queue: query_messages(network.root, requests).into(),
+        sink: EngineSink::new(network.answer_arity),
         delays_left: config.delay_budget,
         schedule: Vec::new(),
     };
@@ -329,12 +292,12 @@ pub fn explore_with_requests(
 
         if next.queue.is_empty() {
             // Quiescent: Thm 3.1's observables must hold.
-            if !next.end_seen {
+            if next.sink.ends == 0 {
                 return Err(ScheduleViolation::NoTermination {
                     schedule: next.schedule,
                 });
             }
-            let answers = next.answers.sorted_rows();
+            let answers = next.sink.answers.sorted_rows();
             match &reference {
                 None => {
                     report.answers = answers.clone();

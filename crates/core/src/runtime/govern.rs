@@ -2,10 +2,10 @@
 //! the shared accounting both runtimes consult.
 //!
 //! A [`QueryBudget`] bundles every per-query resource limit — the step
-//! budget and wall-clock deadline that used to live directly on the
-//! engine, plus a logical-message budget, a memory high-water budget
-//! (interned-arena + mailbox bytes), and a per-link mailbox bound that
-//! drives the credit-based send window on the recovery transport.
+//! budget and wall-clock deadline, plus a logical-message budget, a
+//! memory high-water budget (interned-arena + mailbox bytes), and a
+//! per-link mailbox bound that drives the credit-based send window on
+//! the recovery transport.
 //!
 //! A [`Governor`] is built per evaluation from the budget and the
 //! engine's [`CancelToken`]. Both runtimes feed it logical-message and
@@ -19,12 +19,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Default step budget (divergence guard) — the historical
-/// `Engine::with_max_steps` default.
+/// Default step budget (divergence guard).
 pub const DEFAULT_MAX_STEPS: u64 = 200_000_000;
 
-/// Default wall-clock deadline — the historical `Engine::with_timeout`
-/// default.
+/// Default wall-clock deadline.
 pub const DEFAULT_DEADLINE: Duration = Duration::from_secs(60);
 
 /// Per-query resource limits. `Default` reproduces the pre-governance
@@ -33,12 +31,10 @@ pub const DEFAULT_DEADLINE: Duration = Duration::from_secs(60);
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct QueryBudget {
     /// Delivery-step budget (divergence guard; sim runtime). Exceeding
-    /// it raises [`crate::runtime::RuntimeError::Diverged`], as
-    /// `with_max_steps` always has.
+    /// it raises [`crate::runtime::RuntimeError::Diverged`].
     pub max_steps: u64,
     /// Wall-clock deadline. Exceeding it raises
-    /// [`crate::runtime::RuntimeError::Timeout`], as `with_timeout`
-    /// always has.
+    /// [`crate::runtime::RuntimeError::Timeout`].
     pub deadline: Duration,
     /// Logical-message budget: batching-invariant logical items sent
     /// (what [`crate::stats::Stats::logical_messages`] counts), so a

@@ -4,15 +4,18 @@ pub mod explore;
 pub mod govern;
 mod sim;
 mod thread;
+mod transport;
 
 pub use explore::{explore, ExploreConfig, ExploreReport, ScheduleViolation};
 pub use govern::{CancelToken, Governor, NodeUsage, QueryBudget, Trip};
 pub use sim::{Schedule, SimOutcome, SimRuntime};
 pub use thread::{ThreadOutcome, ThreadRuntime};
 
-use crate::msg::{Endpoint, Payload};
+use crate::msg::{Endpoint, Msg, Payload};
+use mp_rulegoal::NodeId;
 use mp_storage::Tuple;
-use mp_trace::MsgKind;
+use mp_trace::{Event, MsgKind, Ring, Stamp, Tracer};
+use std::sync::Arc;
 
 /// Ring capacity for recorded events (per run). Large enough for every
 /// canonical workload; overruns are counted, not silently lost, and a
@@ -26,6 +29,89 @@ pub(crate) fn trace_actor(ep: Endpoint, n_nodes: usize) -> u32 {
         Some(id) => id as u32,
         None => n_nodes as u32,
     }
+}
+
+/// The event recorder for `actor` (node `i` is actor `i`, the engine
+/// actor `n_nodes`) over the run's shared ring; `None` when tracing is
+/// off.
+pub(crate) fn tracer_for(
+    ring: Option<&Arc<Ring<Event>>>,
+    actor: usize,
+    n_nodes: usize,
+) -> Option<Tracer> {
+    ring.map(|r| Tracer::new(actor as u32, (n_nodes + 1) as u32, Arc::clone(r)))
+}
+
+/// Record a logical send on the sender's tracer (plus the batch flush it
+/// implies when the frame packages several logical items); returns the
+/// stamp that travels with the message to its delivery site.
+pub(crate) fn trace_send(tracer: &mut Tracer, msg: &Msg, n_nodes: usize) -> Stamp {
+    let (kind, items, wave, epoch) = describe_payload(&msg.payload);
+    if items > 1 {
+        tracer.on_flush(items);
+    }
+    tracer.on_send(trace_actor(msg.to, n_nodes), kind, items, wave, epoch)
+}
+
+/// Record a logical delivery on the receiver's tracer, pairing it with
+/// its send stamp; the engine's tracer also records the final `End`.
+pub(crate) fn trace_deliver(tracer: &mut Tracer, msg: &Msg, stamp: Option<&Stamp>, n_nodes: usize) {
+    let (kind, items, wave, epoch) = describe_payload(&msg.payload);
+    tracer.on_deliver(
+        trace_actor(msg.from, n_nodes),
+        stamp,
+        kind,
+        items,
+        wave,
+        epoch,
+    );
+    if msg.to == Endpoint::Engine && matches!(msg.payload, Payload::End) {
+        tracer.on_end();
+    }
+}
+
+/// Latch the governor's first trip into `trip`; on that transition
+/// return the one cancel wave the engine broadcasts to every node.
+/// Cancelled nodes drain their mailboxes without producing more answers
+/// (MP310), so a run keeps scheduling to quiescence and then returns the
+/// typed error instead of aborting mid-protocol with frames in flight.
+pub(crate) fn cancel_wave_on_trip(
+    trip: &mut Option<govern::Trip>,
+    governor: &govern::Governor,
+    n_nodes: usize,
+) -> Option<impl Iterator<Item = Msg>> {
+    if trip.is_some() {
+        return None;
+    }
+    *trip = governor.tripped();
+    trip.map(|_| {
+        (0..n_nodes).map(|id| Msg {
+            from: Endpoint::Engine,
+            to: Endpoint::Node(id),
+            payload: Payload::Cancel { wave: 1, epoch: 0 },
+        })
+    })
+}
+
+/// Per-node accounting rows for an aborted run, in node-id order.
+/// `row(id)` reports `(messages processed, mailbox depth, queued bytes)`.
+pub(crate) fn node_usage(
+    shard_of: &[(NodeId, usize)],
+    n_nodes: usize,
+    row: impl Fn(usize) -> (u64, usize, u64),
+) -> Vec<govern::NodeUsage> {
+    (0..n_nodes)
+        .map(|node| {
+            let (messages_processed, mailbox_depth, mem_bytes) = row(node);
+            govern::NodeUsage {
+                node,
+                shard: shard_of.get(node).map_or(0, |&(_, s)| s),
+                messages_processed,
+                mailbox_depth,
+                mem_bytes,
+            }
+        })
+        .collect()
 }
 
 /// Build the typed governance error for a tripped run, after the cancel
@@ -317,3 +403,70 @@ impl std::fmt::Display for RuntimeError {
 }
 
 impl std::error::Error for RuntimeError {}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::Engine;
+    use crate::node::Network;
+    use mp_datalog::parser::parse_program;
+    use mp_datalog::Database;
+    use mp_storage::tuple;
+    use std::time::Duration;
+
+    fn cyclic_tc() -> Network {
+        let program = parse_program(
+            "path(X, Y) :- edge(X, Y).
+             path(X, Z) :- path(X, Y), edge(Y, Z).
+             ?- path(0, Z).",
+        )
+        .unwrap();
+        let mut db = Database::new();
+        for (a, b) in [(0, 1), (1, 2), (2, 0)] {
+            db.insert("edge", tuple![a, b]).unwrap();
+        }
+        let engine = Engine::new(program, db);
+        let compiled = engine.compile().unwrap();
+        Network::compile(&compiled.graph, engine.database())
+    }
+
+    /// The budget's guards bind even when the runtime's own `max_steps` /
+    /// `timeout` fields are left at their defaults: each runtime enforces
+    /// the smaller of the two.
+    #[test]
+    fn budget_guards_bind_without_the_runtime_fields() {
+        let sim = SimRuntime {
+            budget: QueryBudget::new().with_max_steps(5),
+            ..SimRuntime::default()
+        };
+        let err = sim.run(&mut cyclic_tc()).unwrap_err();
+        assert_eq!(err, RuntimeError::Diverged { steps: 6 });
+
+        let pool = ThreadRuntime {
+            budget: QueryBudget::new().with_deadline(Duration::from_nanos(1)),
+            ..ThreadRuntime::default()
+        };
+        let err = pool.run(cyclic_tc()).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                RuntimeError::Timeout {
+                    budget_millis: 0,
+                    ..
+                }
+            ),
+            "{err}"
+        );
+
+        // And the other way round: the fields still bind under a default
+        // budget.
+        let sim = SimRuntime {
+            max_steps: 5,
+            ..SimRuntime::default()
+        };
+        assert_eq!(
+            sim.run(&mut cyclic_tc()).unwrap_err(),
+            RuntimeError::Diverged { steps: 6 }
+        );
+    }
+}

@@ -7,15 +7,17 @@
 //! preserved because each node's mailbox is a queue). The random schedule
 //! is how the tests adversarially exercise Thm 3.1.
 //!
-//! With a [`FaultPlan`] attached, the reliable mailboxes are replaced by
-//! a faulty wire plus the self-healing transport of [`crate::fault`]:
-//! every logical message becomes a sequenced frame that can be dropped,
-//! duplicated, delayed, or corrupted; acks and retransmissions restore
-//! exactly-once FIFO delivery; and node crashes are recovered by
-//! replaying the node's durable message log through a pristine process
-//! clone (write-ahead-log semantics — see DESIGN.md). The fault path is
-//! a separate loop so the clean path stays byte-identical to the
-//! fault-free simulator.
+//! With a [`FaultPlan`] attached, the reliable mailboxes are fed by a
+//! faulty wire plus the recovery transport of
+//! [`crate::runtime::transport`]: every logical message becomes a
+//! sequenced frame that can be dropped, duplicated, delayed, or
+//! corrupted; acks and retransmissions restore exactly-once FIFO
+//! delivery; and node crashes are recovered by replaying the node's
+//! durable message log through a pristine process clone (write-ahead-log
+//! semantics — see DESIGN.md). The simulator owns only what is specific
+//! to it — a logical-time wire, the clock, and the scheduling loop — and
+//! the fault path is a separate loop so the clean path stays
+//! byte-identical to the fault-free simulator.
 //!
 //! Sharded evaluation needs no simulator changes: shard instances are
 //! ordinary physical processes, and the two-level termination wave —
@@ -25,27 +27,28 @@
 //! builds. The epoch tags and Mattern counters work unchanged because the
 //! captain links are counted like any other intra-component edge.
 
-use crate::fault::{endpoint_code, Accepted, CrashPoint, FaultPlan, ReceiverLink, SenderLink};
-use crate::msg::{Endpoint, Msg, Payload};
-use crate::node::{Ctx, Network, Process};
+use crate::fault::FaultPlan;
+use crate::msg::{Endpoint, Msg};
+use crate::node::{Ctx, Network};
 use crate::runtime::govern::{CancelToken, Governor, NodeUsage, QueryBudget, Trip};
+use crate::runtime::transport::{query_messages, Config, Driver, EngineSink, Frame, Stamped, Wire};
 use crate::runtime::{
-    budget_error, describe_payload, trace_actor, RuntimeError, TRACE_RING_CAPACITY,
+    budget_error, cancel_wave_on_trip, describe_payload, node_usage, trace_actor, trace_deliver,
+    trace_send, tracer_for, RuntimeError, TRACE_RING_CAPACITY,
 };
 use crate::stats::Stats;
 use mp_storage::{Relation, Tuple};
 use mp_trace::{Event, Ring, Stamp, Trace, Tracer};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-/// Event recording for a simulated run: one [`Tracer`] per node plus the
-/// engine, and per-link stamp queues standing in for the wire. Logical
-/// delivery on both sim paths is exactly-once FIFO per link (the fault
-/// path's transport guarantees it), so a front-pop always pairs a
-/// delivery with its send stamp.
+/// Event recording for a clean simulated run: one [`Tracer`] per node
+/// plus the engine, and per-link stamp queues standing in for the wire.
+/// Mailbox delivery is exactly-once FIFO per link, so a front-pop always
+/// pairs a delivery with its send stamp.
 pub(crate) struct SimTracing {
     n: usize,
     tracers: Vec<Tracer>,
@@ -56,49 +59,32 @@ pub(crate) struct SimTracing {
 impl SimTracing {
     pub(crate) fn new(n: usize) -> Self {
         let ring = Arc::new(Ring::with_capacity(TRACE_RING_CAPACITY));
-        let tracers = (0..=n)
-            .map(|i| Tracer::new(i as u32, (n + 1) as u32, Arc::clone(&ring)))
-            .collect();
         SimTracing {
             n,
-            tracers,
+            tracers: (0..=n)
+                .filter_map(|i| tracer_for(Some(&ring), i, n))
+                .collect(),
             pending: BTreeMap::new(),
             ring,
         }
     }
 
-    /// Record a logical send (and the batch flush it implies when the
-    /// frame packages several logical items).
     fn on_send(&mut self, msg: &Msg) {
-        let (kind, items, wave, epoch) = describe_payload(&msg.payload);
         let actor = trace_actor(msg.from, self.n) as usize;
-        let to = trace_actor(msg.to, self.n);
-        if items > 1 {
-            self.tracers[actor].on_flush(items);
-        }
-        let stamp = self.tracers[actor].on_send(to, kind, items, wave, epoch);
+        let stamp = trace_send(&mut self.tracers[actor], msg, self.n);
         self.pending
             .entry((msg.from, msg.to))
             .or_default()
             .push_back(stamp);
     }
 
-    /// Record a logical delivery, pairing it with its send stamp.
     fn on_deliver(&mut self, msg: &Msg) {
-        let (kind, items, wave, epoch) = describe_payload(&msg.payload);
         let stamp = self
             .pending
             .get_mut(&(msg.from, msg.to))
             .and_then(|q| q.pop_front());
         let actor = trace_actor(msg.to, self.n) as usize;
-        let from = trace_actor(msg.from, self.n);
-        self.tracers[actor].on_deliver(from, stamp.as_ref(), kind, items, wave, epoch);
-    }
-
-    /// Record the engine observing the final `End`.
-    fn on_engine_end(&mut self) {
-        let n = self.n;
-        self.tracers[n].on_end();
+        trace_deliver(&mut self.tracers[actor], msg, stamp.as_ref(), self.n);
     }
 
     fn finish(self) -> Trace {
@@ -141,6 +127,7 @@ pub struct SimRuntime {
     /// Scheduling policy.
     pub schedule: Schedule,
     /// Step budget (messages processed) before declaring divergence.
+    /// The guard enforced is the smaller of this and `budget.max_steps`.
     pub max_steps: u64,
     /// Record every routed message.
     pub trace: bool,
@@ -150,9 +137,8 @@ pub struct SimRuntime {
     /// Recover crashed nodes by log replay. With recovery disabled a
     /// scheduled crash aborts the run with [`RuntimeError::LinkDown`].
     pub recovery: bool,
-    /// Resource budget (logical messages, memory, deadline, mailbox
-    /// bound). `max_steps` above is the same guard the budget's
-    /// `max_steps` folds into — the engine keeps them in sync.
+    /// Resource budget (steps, deadline, logical messages, memory,
+    /// mailbox bound).
     pub budget: QueryBudget,
     /// Cooperative cancellation handle; tripping it triggers a cancel
     /// wave and a typed [`RuntimeError::Cancelled`].
@@ -173,6 +159,130 @@ impl Default for SimRuntime {
     }
 }
 
+/// Per-node FIFO mailboxes plus the schedule that picks which one is
+/// served next.
+struct Mailboxes<T> {
+    queues: Vec<VecDeque<T>>,
+    /// Global send order: one token per enqueued message (FIFO schedule).
+    fifo_tokens: VecDeque<usize>,
+    /// Seeded-random schedule; `None` = FIFO.
+    rng: Option<ChaCha8Rng>,
+    /// High-water mark of any single mailbox's depth.
+    high_water: u64,
+}
+
+impl<T> Mailboxes<T> {
+    fn new(n: usize, schedule: Schedule) -> Self {
+        Mailboxes {
+            queues: (0..n).map(|_| VecDeque::new()).collect(),
+            fifo_tokens: VecDeque::new(),
+            rng: match schedule {
+                Schedule::Fifo => None,
+                Schedule::Random(seed) => Some(ChaCha8Rng::seed_from_u64(seed)),
+            },
+            high_water: 0,
+        }
+    }
+
+    fn push(&mut self, id: usize, item: T) {
+        self.queues[id].push_back(item);
+        self.high_water = self.high_water.max(self.queues[id].len() as u64);
+        self.fifo_tokens.push_back(id);
+    }
+
+    /// The next node to activate, or `None` when every mailbox is empty.
+    fn pick(&mut self) -> Option<usize> {
+        match &mut self.rng {
+            None => loop {
+                match self.fifo_tokens.pop_front() {
+                    Some(id) if !self.queues[id].is_empty() => break Some(id),
+                    Some(_) => continue,
+                    None => break None,
+                }
+            },
+            Some(rng) => {
+                let nonempty: Vec<usize> = (0..self.queues.len())
+                    .filter(|&i| !self.queues[i].is_empty())
+                    .collect();
+                if nonempty.is_empty() {
+                    None
+                } else {
+                    Some(nonempty[rng.gen_range(0..nonempty.len())])
+                }
+            }
+        }
+    }
+
+    /// Accounting rows for an aborted run; `msg` projects a queued item
+    /// to its logical message.
+    fn usage(&self, network: &Network, processed: &[u64], msg: fn(&T) -> &Msg) -> Vec<NodeUsage> {
+        node_usage(&network.shard_of, self.queues.len(), |i| {
+            let q = &self.queues[i];
+            let bytes = q.iter().map(|t| msg(t).payload.approx_bytes()).sum();
+            (processed[i], q.len(), bytes)
+        })
+    }
+}
+
+/// The divergence and wall-clock guards of one run.
+struct StepGuard {
+    started: Instant,
+    steps: u64,
+    max_steps: u64,
+    deadline: Duration,
+}
+
+impl StepGuard {
+    /// Count one delivery. Past the step bound the run is `Diverged`;
+    /// the wall clock and the interner arena are sampled every 1024
+    /// steps only — a syscall and an interner read at that rate keep the
+    /// unlimited-budget clean path within noise of an ungoverned loop.
+    fn step<T>(
+        &mut self,
+        governor: &Governor,
+        sink: &EngineSink,
+        mailboxes: &Mailboxes<T>,
+    ) -> Result<(), RuntimeError> {
+        self.steps += 1;
+        if self.steps > self.max_steps {
+            return Err(RuntimeError::Diverged { steps: self.steps });
+        }
+        if self.steps.is_multiple_of(1024) {
+            governor.sample_arena();
+            if self.started.elapsed() >= self.deadline {
+                return Err(RuntimeError::Timeout {
+                    budget_millis: self.deadline.as_millis() as u64,
+                    elapsed_millis: self.started.elapsed().as_millis() as u64,
+                    partial_answers: sink.answers.len(),
+                    pending: (mailboxes.queues.iter().map(VecDeque::len).enumerate())
+                        .filter(|&(_, depth)| depth > 0)
+                        .collect(),
+                    unjoined: Vec::new(),
+                });
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The simulator's recovery wire: in-flight frames keyed by
+/// `(deliver_at, uid)` — a deterministic total order over logical time.
+#[derive(Default)]
+struct SimWire {
+    frames: BTreeMap<(u64, u64), (Endpoint, Frame)>,
+    uid: u64,
+    /// Logical time: one tick per delivery step.
+    now: u64,
+}
+
+impl Wire for SimWire {
+    fn put(&mut self, to: Endpoint, frame: Frame, delay: u64) {
+        self.frames
+            .insert((self.now + 1 + delay, self.uid), (to, frame));
+        self.uid += 1;
+    }
+}
+
 impl SimRuntime {
     /// Run the network to completion: inject the top-level relation
     /// request, one (unit or given) tuple request, and end-of-requests;
@@ -189,25 +299,7 @@ impl SimRuntime {
         network: &mut Network,
         requests: impl IntoIterator<Item = Tuple>,
     ) -> Result<SimOutcome, RuntimeError> {
-        let root = Endpoint::Node(network.root);
-        let mut initial = vec![Msg {
-            from: Endpoint::Engine,
-            to: root,
-            payload: Payload::RelationRequest,
-        }];
-        for b in requests {
-            initial.push(Msg {
-                from: Endpoint::Engine,
-                to: root,
-                payload: Payload::TupleRequest { binding: b },
-            });
-        }
-        initial.push(Msg {
-            from: Endpoint::Engine,
-            to: root,
-            payload: Payload::EndOfRequests,
-        });
-
+        let initial = query_messages(network.root, requests);
         match &self.fault_plan {
             None => self.run_clean(network, initial, None),
             Some(plan) => self.run_faulty(network, initial, plan.clone()),
@@ -231,25 +323,53 @@ impl SimRuntime {
         requests: impl IntoIterator<Item = Tuple>,
         activations: &[u32],
     ) -> Result<SimOutcome, RuntimeError> {
-        let root = Endpoint::Node(network.root);
-        let mut initial = vec![Msg {
-            from: Endpoint::Engine,
-            to: root,
-            payload: Payload::RelationRequest,
-        }];
-        for b in requests {
-            initial.push(Msg {
-                from: Endpoint::Engine,
-                to: root,
-                payload: Payload::TupleRequest { binding: b },
-            });
-        }
-        initial.push(Msg {
-            from: Endpoint::Engine,
-            to: root,
-            payload: Payload::EndOfRequests,
-        });
+        let initial = query_messages(network.root, requests);
         self.run_clean(network, initial, Some(activations))
+    }
+
+    fn guard(&self) -> StepGuard {
+        StepGuard {
+            started: Instant::now(),
+            steps: 0,
+            max_steps: self.max_steps.min(self.budget.max_steps),
+            deadline: self.budget.deadline,
+        }
+    }
+
+    /// Close a run that reached quiescence: the typed governance error
+    /// if a budget tripped, `NoTermination` without the final `End`,
+    /// else the outcome.
+    fn conclude(
+        governor: &Governor,
+        trip: Option<Trip>,
+        mut stats: Stats,
+        sink: EngineSink,
+        usage: impl FnOnce() -> Vec<NodeUsage>,
+        trace: Option<Vec<Msg>>,
+        events: Option<Trace>,
+    ) -> Result<SimOutcome, RuntimeError> {
+        governor.sample_arena();
+        stats.mem_high_water_bytes = governor.mem_high_water();
+        if let Some(t) = trip {
+            return Err(budget_error(
+                t,
+                governor,
+                sink.answers.iter().cloned().collect(),
+                usage(),
+                stats.cancel_waves,
+            ));
+        }
+        if sink.ends == 0 {
+            return Err(RuntimeError::NoTermination);
+        }
+        Ok(SimOutcome {
+            answers: sink.answers,
+            stats,
+            trace,
+            events,
+            engine_ends: sink.ends,
+            post_end_answers: sink.post_end_answers,
+        })
     }
 
     /// The pristine path: reliable atomic mailboxes, no transport layer,
@@ -262,277 +382,89 @@ impl SimRuntime {
         replay: Option<&[u32]>,
     ) -> Result<SimOutcome, RuntimeError> {
         let n = network.processes.len();
-        let mut mailboxes: Vec<VecDeque<Msg>> = vec![VecDeque::new(); n];
-        let mut fifo_tokens: VecDeque<usize> = VecDeque::new();
-        let mut rng = match self.schedule {
-            Schedule::Fifo => None,
-            Schedule::Random(seed) => Some(ChaCha8Rng::seed_from_u64(seed)),
+        let mut sim = CleanSim {
+            mailboxes: Mailboxes::new(n, self.schedule),
+            stats: Stats::default(),
+            trace: self.trace.then(Vec::new),
+            tracing: self.trace.then(|| SimTracing::new(n)),
+            sink: EngineSink::new(network.answer_arity),
+            governor: Governor::new(self.budget.clone(), self.cancel.clone()),
         };
-        let mut stats = Stats::default();
-        let mut trace: Option<Vec<Msg>> = if self.trace { Some(Vec::new()) } else { None };
-        let mut tracing: Option<SimTracing> = if self.trace {
-            Some(SimTracing::new(n))
-        } else {
-            None
-        };
-        let mut engine_answers = Relation::new(network.answer_arity);
-        let mut engine_ends: u64 = 0;
-        let mut post_end_answers: u64 = 0;
-        let answer_arity = network.answer_arity;
-        let governor = Governor::new(self.budget.clone(), self.cancel.clone());
         let mut processed: Vec<u64> = vec![0; n];
-        let started = Instant::now();
         let mut trip: Option<Trip> = None;
-
-        let route = |msg: Msg,
-                     mailboxes: &mut Vec<VecDeque<Msg>>,
-                     fifo_tokens: &mut VecDeque<usize>,
-                     stats: &mut Stats,
-                     trace: &mut Option<Vec<Msg>>,
-                     tracing: &mut Option<SimTracing>,
-                     engine_answers: &mut Relation,
-                     engine_ends: &mut u64,
-                     post_end_answers: &mut u64|
-         -> Result<(), RuntimeError> {
-            stats.count_send(&msg.payload);
-            governor.note_messages(describe_payload(&msg.payload).1);
-            if let Some(t) = trace.as_mut() {
-                t.push(msg.clone());
-            }
-            if let Some(tr) = tracing.as_mut() {
-                tr.on_send(&msg);
-                // Engine-bound messages are consumed right here, so the
-                // delivery is recorded here too.
-                if msg.to == Endpoint::Engine {
-                    tr.on_deliver(&msg);
-                    if matches!(msg.payload, Payload::End) {
-                        tr.on_engine_end();
-                    }
-                }
-            }
-            match msg.to {
-                Endpoint::Engine => match msg.payload {
-                    Payload::Answer { tuple } => {
-                        if *engine_ends > 0 {
-                            *post_end_answers += 1;
-                        }
-                        let got = tuple.arity();
-                        if engine_answers.insert(tuple).is_err() {
-                            return Err(RuntimeError::AnswerArity {
-                                expected: answer_arity,
-                                got,
-                                partial_answers: engine_answers.len(),
-                            });
-                        }
-                    }
-                    Payload::AnswerBatch { tuples } => {
-                        for tuple in tuples {
-                            if *engine_ends > 0 {
-                                *post_end_answers += 1;
-                            }
-                            let got = tuple.arity();
-                            if engine_answers.insert(tuple).is_err() {
-                                return Err(RuntimeError::AnswerArity {
-                                    expected: answer_arity,
-                                    got,
-                                    partial_answers: engine_answers.len(),
-                                });
-                            }
-                        }
-                    }
-                    Payload::End => *engine_ends += 1,
-                    Payload::EndTupleRequest { .. } | Payload::EndTupleRequestBatch { .. } => {}
-                    other => {
-                        return Err(RuntimeError::UnexpectedEngineMessage {
-                            kind: other.kind_name(),
-                        })
-                    }
-                },
-                Endpoint::Node(id) => {
-                    governor.note_enqueue(msg.payload.approx_bytes());
-                    mailboxes[id].push_back(msg);
-                    stats.mailbox_high_water =
-                        stats.mailbox_high_water.max(mailboxes[id].len() as u64);
-                    fifo_tokens.push_back(id);
-                }
-            }
-            Ok(())
-        };
+        let mut guard = self.guard();
 
         for m in initial {
-            route(
-                m,
-                &mut mailboxes,
-                &mut fifo_tokens,
-                &mut stats,
-                &mut trace,
-                &mut tracing,
-                &mut engine_answers,
-                &mut engine_ends,
-                &mut post_end_answers,
-            )?;
+            sim.route(m)?;
         }
 
         let mut out: Vec<Msg> = Vec::new();
-        let mut steps: u64 = 0;
         let mut replay_cursor = 0usize;
         loop {
-            // Resource-governance trip: on the first observed trip,
-            // broadcast one cancel wave to every node and keep
-            // scheduling. Cancelled nodes drain their mailboxes without
-            // producing more answers (MP310), so the loop reaches
-            // quiescence and returns the typed error below instead of
-            // aborting mid-protocol with frames still in flight.
-            if trip.is_none() {
-                if let Some(t) = governor.tripped() {
-                    trip = Some(t);
-                    stats.cancel_waves += 1;
-                    for id in 0..n {
-                        route(
-                            Msg {
-                                from: Endpoint::Engine,
-                                to: Endpoint::Node(id),
-                                payload: Payload::Cancel { wave: 1, epoch: 0 },
-                            },
-                            &mut mailboxes,
-                            &mut fifo_tokens,
-                            &mut stats,
-                            &mut trace,
-                            &mut tracing,
-                            &mut engine_answers,
-                            &mut engine_ends,
-                            &mut post_end_answers,
-                        )?;
-                    }
+            if let Some(wave) = cancel_wave_on_trip(&mut trip, &sim.governor, n) {
+                sim.stats.cancel_waves += 1;
+                for m in wave {
+                    sim.route(m)?;
                 }
             }
             // A recorded schedule takes precedence; its activations with
             // an empty mailbox are skipped (the recorded run may contain
             // protocol traffic a re-execution doesn't reproduce 1:1) and
-            // FIFO finishes whatever the recording doesn't cover.
+            // the schedule finishes whatever the recording doesn't cover.
             let mut next = None;
             if let Some(acts) = replay {
                 while replay_cursor < acts.len() {
                     let id = acts[replay_cursor] as usize;
                     replay_cursor += 1;
-                    if id < n && !mailboxes[id].is_empty() {
+                    if id < n && !sim.mailboxes.queues[id].is_empty() {
                         next = Some(id);
                         break;
                     }
                 }
             }
-            if next.is_none() {
-                next = match &mut rng {
-                    None => loop {
-                        match fifo_tokens.pop_front() {
-                            Some(id) if !mailboxes[id].is_empty() => break Some(id),
-                            Some(_) => continue,
-                            None => break None,
-                        }
-                    },
-                    Some(rng) => {
-                        let nonempty: Vec<usize> =
-                            (0..n).filter(|&i| !mailboxes[i].is_empty()).collect();
-                        if nonempty.is_empty() {
-                            None
-                        } else {
-                            Some(nonempty[rng.gen_range(0..nonempty.len())])
-                        }
-                    }
-                };
-            }
-            let Some(id) = next else { break };
-            let Some(msg) = mailboxes[id].pop_front() else {
+            let Some(id) = next.or_else(|| sim.mailboxes.pick()) else {
+                break;
+            };
+            let Some(msg) = sim.mailboxes.queues[id].pop_front() else {
                 continue;
             };
-            governor.note_dequeue(msg.payload.approx_bytes());
-            steps += 1;
-            if steps > self.max_steps {
-                return Err(RuntimeError::Diverged { steps });
-            }
-            // Wall-clock and arena sampling are amortized: a syscall and
-            // an interner read every 1024 steps keep the unlimited-
-            // budget clean path within noise of the ungoverned loop.
-            if steps.is_multiple_of(1024) {
-                governor.sample_arena();
-                if started.elapsed() >= self.budget.deadline {
-                    return Err(RuntimeError::Timeout {
-                        budget_millis: self.budget.deadline.as_millis() as u64,
-                        elapsed_millis: started.elapsed().as_millis() as u64,
-                        partial_answers: engine_answers.len(),
-                        pending: (0..n)
-                            .map(|i| (i, mailboxes[i].len()))
-                            .filter(|&(_, d)| d > 0)
-                            .collect(),
-                        unjoined: Vec::new(),
-                    });
-                }
-            }
-            if let Some(tr) = tracing.as_mut() {
+            sim.governor.note_dequeue(msg.payload.approx_bytes());
+            guard.step(&sim.governor, &sim.sink, &sim.mailboxes)?;
+            if let Some(tr) = sim.tracing.as_mut() {
                 tr.on_deliver(&msg);
             }
             let mut ctx = Ctx {
                 out: &mut out,
-                stats: &mut stats,
-                mailbox_empty: mailboxes[id].is_empty(),
+                stats: &mut sim.stats,
+                mailbox_empty: sim.mailboxes.queues[id].is_empty(),
                 // Flow control lives on the recovery transport; the
                 // pristine path has no stalled frames.
                 pressure: false,
-                tracer: tracing.as_mut().map(|t| &mut t.tracers[id]),
+                tracer: sim.tracing.as_mut().map(|t| &mut t.tracers[id]),
             };
             network.processes[id].handle(msg, &mut ctx);
             processed[id] += 1;
             for m in out.drain(..) {
-                route(
-                    m,
-                    &mut mailboxes,
-                    &mut fifo_tokens,
-                    &mut stats,
-                    &mut trace,
-                    &mut tracing,
-                    &mut engine_answers,
-                    &mut engine_ends,
-                    &mut post_end_answers,
-                )?;
+                sim.route(m)?;
             }
         }
 
-        governor.sample_arena();
-        stats.mem_high_water_bytes = governor.mem_high_water();
-        if let Some(t) = trip {
-            let accounting = (0..n)
-                .map(|i| NodeUsage {
-                    node: i,
-                    shard: network.shard_of.get(i).map_or(0, |&(_, s)| s),
-                    messages_processed: processed[i],
-                    mailbox_depth: mailboxes[i].len(),
-                    mem_bytes: mailboxes[i].iter().map(|m| m.payload.approx_bytes()).sum(),
-                })
-                .collect();
-            return Err(budget_error(
-                t,
-                &governor,
-                engine_answers.iter().cloned().collect(),
-                accounting,
-                stats.cancel_waves,
-            ));
-        }
-        if engine_ends == 0 {
-            return Err(RuntimeError::NoTermination);
-        }
-        Ok(SimOutcome {
-            answers: engine_answers,
-            stats,
-            trace,
-            events: tracing.map(SimTracing::finish),
-            engine_ends,
-            post_end_answers,
-        })
+        sim.stats.mailbox_high_water = sim.mailboxes.high_water;
+        let mailboxes = sim.mailboxes;
+        Self::conclude(
+            &sim.governor,
+            trip,
+            sim.stats,
+            sim.sink,
+            || mailboxes.usage(network, &processed, |m| m),
+            sim.trace,
+            sim.tracing.map(SimTracing::finish),
+        )
     }
 
-    /// The fault path: every link goes through the sequenced, acked,
-    /// retransmitting transport; the fault plan perturbs the wire; node
-    /// crashes are recovered by durable-log replay.
+    /// The fault path: every link goes through the recovery transport
+    /// driver; the fault plan perturbs the wire; node crashes are
+    /// recovered by durable-log replay.
     fn run_faulty(
         &self,
         network: &mut Network,
@@ -540,292 +472,139 @@ impl SimRuntime {
         plan: FaultPlan,
     ) -> Result<SimOutcome, RuntimeError> {
         let n = network.processes.len();
-        let mut sim = FaultySim {
+        let governor = Arc::new(Governor::new(self.budget.clone(), self.cancel.clone()));
+        let cfg = Arc::new(Config {
             plan,
             recovery: self.recovery,
-            governor: Governor::new(self.budget.clone(), self.cancel.clone()),
             window: self.budget.mailbox_bound.map(|b| b as u64),
             intra: network.intra_pairs(),
-            pristine: network.processes.clone(),
-            mailboxes: vec![VecDeque::new(); n],
-            fifo_tokens: VecDeque::new(),
-            logs: vec![Vec::new(); n],
-            processed: vec![0; n],
-            epochs: vec![0; n],
-            senders: BTreeMap::new(),
-            receivers: BTreeMap::new(),
-            wire: BTreeMap::new(),
-            wire_uid: 0,
-            now: 0,
-            stats: Stats::default(),
-            trace: if self.trace { Some(Vec::new()) } else { None },
-            tracing: if self.trace {
-                Some(SimTracing::new(n))
-            } else {
-                None
-            },
-            engine_answers: Relation::new(network.answer_arity),
-            engine_ends: 0,
-            post_end_answers: 0,
-            answer_arity: network.answer_arity,
+            n_nodes: n,
+            governor: Arc::clone(&governor),
+        });
+        // Event recording (same flag as `trace`) sees *logical* sends and
+        // deliveries only — retransmissions and wire duplicates below the
+        // exactly-once line are invisible to it, which is what makes the
+        // batching-invariance and FIFO invariants checkable.
+        let ring = self
+            .trace
+            .then(|| Arc::new(Ring::with_capacity(TRACE_RING_CAPACITY)));
+        // One driver per node, then the engine's at index `n`.
+        let endpoints = (0..n).map(Endpoint::Node).chain([Endpoint::Engine]);
+        let mut sim = FaultySim {
+            drivers: endpoints
+                .enumerate()
+                .map(|(actor, me)| {
+                    let tracer = tracer_for(ring.as_ref(), actor, n);
+                    let pristine = me.node().map(|id| network.processes[id].clone());
+                    Driver::new(me, Arc::clone(&cfg), tracer, pristine)
+                })
+                .collect(),
+            wire: SimWire::default(),
+            mailboxes: Mailboxes::new(n, self.schedule),
+            trace: self.trace.then(Vec::new),
+            sink: EngineSink::new(network.answer_arity),
         };
-        let mut rng = match self.schedule {
-            Schedule::Fifo => None,
-            Schedule::Random(seed) => Some(ChaCha8Rng::seed_from_u64(seed)),
-        };
+        let mut processed: Vec<u64> = vec![0; n];
+        let mut trip: Option<Trip> = None;
+        let mut guard = self.guard();
 
         for m in initial {
-            sim.logical_send(m)?;
+            sim.send(m);
         }
 
         let mut out: Vec<Msg> = Vec::new();
-        let mut steps: u64 = 0;
-        let started = Instant::now();
-        let mut trip: Option<Trip> = None;
         loop {
-            // Same trip discipline as the clean path, but the cancel
-            // wave rides the recovery transport: each Cancel frame is
-            // sequenced and logged, so a node that crashes mid-drain
-            // re-learns its cancellation from log replay.
-            if trip.is_none() {
-                if let Some(t) = sim.governor.tripped() {
-                    trip = Some(t);
-                    sim.stats.cancel_waves += 1;
-                    for id in 0..n {
-                        sim.logical_send(Msg {
-                            from: Endpoint::Engine,
-                            to: Endpoint::Node(id),
-                            payload: Payload::Cancel { wave: 1, epoch: 0 },
-                        })?;
-                    }
+            // The cancel wave rides the recovery transport: each Cancel
+            // frame is sequenced and logged, so a node that crashes
+            // mid-drain re-learns its cancellation from log replay.
+            if let Some(wave) = cancel_wave_on_trip(&mut trip, &governor, n) {
+                sim.drivers[n].stats.cancel_waves += 1;
+                for m in wave {
+                    sim.send(m);
                 }
             }
-            sim.deliver_due()?;
+            sim.deliver_due(&governor)?;
 
-            let next = match &mut rng {
-                None => loop {
-                    match sim.fifo_tokens.pop_front() {
-                        Some(id) if !sim.mailboxes[id].is_empty() => break Some(id),
-                        Some(_) => continue,
-                        None => break None,
-                    }
-                },
-                Some(rng) => {
-                    let nonempty: Vec<usize> =
-                        (0..n).filter(|&i| !sim.mailboxes[i].is_empty()).collect();
-                    if nonempty.is_empty() {
-                        None
-                    } else {
-                        Some(nonempty[rng.gen_range(0..nonempty.len())])
-                    }
+            let Some(id) = sim.mailboxes.pick() else {
+                // No deliverable message. Advance time to the next wire
+                // event, or force a retransmission round, or — with
+                // everything drained and acked — stop.
+                if let Some((&(t, _), _)) = sim.wire.frames.first_key_value() {
+                    sim.wire.now = sim.wire.now.max(t);
+                    continue;
                 }
+                if sim.retransmit(true)? {
+                    sim.wire.now += 1;
+                    continue;
+                }
+                break;
             };
-
-            match next {
-                Some(id) => {
-                    let Some(msg) = sim.mailboxes[id].pop_front() else {
-                        continue;
-                    };
-                    sim.governor.note_dequeue(msg.payload.approx_bytes());
-                    steps += 1;
-                    sim.now += 1;
-                    if steps > self.max_steps {
-                        return Err(RuntimeError::Diverged { steps });
-                    }
-                    if steps.is_multiple_of(1024) {
-                        sim.governor.sample_arena();
-                        if started.elapsed() >= self.budget.deadline {
-                            return Err(RuntimeError::Timeout {
-                                budget_millis: self.budget.deadline.as_millis() as u64,
-                                elapsed_millis: started.elapsed().as_millis() as u64,
-                                partial_answers: sim.engine_answers.len(),
-                                pending: (0..n)
-                                    .map(|i| (i, sim.mailboxes[i].len()))
-                                    .filter(|&(_, d)| d > 0)
-                                    .collect(),
-                                unjoined: Vec::new(),
-                            });
-                        }
-                    }
-                    if let Some(tr) = sim.tracing.as_mut() {
-                        tr.on_deliver(&msg);
-                    }
-                    let pressure = sim.node_pressure(id);
-                    let mut ctx = Ctx {
-                        out: &mut out,
-                        stats: &mut sim.stats,
-                        mailbox_empty: sim.mailboxes[id].is_empty(),
-                        pressure,
-                        tracer: sim.tracing.as_mut().map(|t| &mut t.tracers[id]),
-                    };
-                    network.processes[id].handle(msg, &mut ctx);
-                    sim.processed[id] += 1;
-                    for m in out.drain(..) {
-                        sim.logical_send(m)?;
-                    }
-                    sim.maybe_crash(network, id, &mut out)?;
-                    // Periodic retransmission scan: the probe protocol
-                    // keeps the network busy forever when a message is
-                    // lost (the Mattern counters block conclusion), so
-                    // quiescence alone must not gate retransmission.
-                    if steps.is_multiple_of(64) {
-                        sim.retransmit_scan(false)?;
-                    }
-                }
-                None => {
-                    // No deliverable message. Advance time to the next
-                    // wire event, or force a retransmission round, or —
-                    // with everything drained and acked — stop.
-                    if let Some((&(t, _), _)) = sim.wire.iter().next() {
-                        sim.now = sim.now.max(t);
-                        continue;
-                    }
-                    if sim.retransmit_scan(true)? {
-                        sim.now += 1;
-                        continue;
-                    }
-                    break;
-                }
+            let Some((msg, stamp)) = sim.mailboxes.queues[id].pop_front() else {
+                continue;
+            };
+            governor.note_dequeue(msg.payload.approx_bytes());
+            sim.wire.now += 1;
+            guard.step(&governor, &sim.sink, &sim.mailboxes)?;
+            let driver = &mut sim.drivers[id];
+            driver.log(&msg);
+            driver.note_deliver(&msg, stamp.as_deref());
+            let pressure = driver.under_pressure();
+            let mut ctx = Ctx {
+                out: &mut out,
+                stats: &mut driver.stats,
+                mailbox_empty: sim.mailboxes.queues[id].is_empty(),
+                pressure,
+                tracer: driver.tracer.as_mut(),
+            };
+            network.processes[id].handle(msg, &mut ctx);
+            processed[id] += 1;
+            for m in out.drain(..) {
+                sim.send(m);
+            }
+            for m in sim.drivers[id].maybe_crash(&mut network.processes[id])? {
+                sim.send(m);
+            }
+            // Periodic retransmission scan: the probe protocol keeps the
+            // network busy forever when a message is lost (the Mattern
+            // counters block conclusion), so quiescence alone must not
+            // gate retransmission.
+            if guard.steps.is_multiple_of(64) {
+                sim.retransmit(false)?;
             }
         }
 
-        sim.governor.sample_arena();
-        sim.stats.mem_high_water_bytes = sim.governor.mem_high_water();
-        if let Some(t) = trip {
-            let accounting = (0..n)
-                .map(|i| NodeUsage {
-                    node: i,
-                    shard: network.shard_of.get(i).map_or(0, |&(_, s)| s),
-                    messages_processed: sim.processed[i],
-                    mailbox_depth: sim.mailboxes[i].len(),
-                    mem_bytes: sim.mailboxes[i]
-                        .iter()
-                        .map(|m| m.payload.approx_bytes())
-                        .sum(),
-                })
-                .collect();
-            return Err(budget_error(
-                t,
-                &sim.governor,
-                sim.engine_answers.iter().cloned().collect(),
-                accounting,
-                sim.stats.cancel_waves,
-            ));
+        let mut stats = Stats::default();
+        for driver in &sim.drivers {
+            stats.merge(&driver.stats);
         }
-        if sim.engine_ends == 0 {
-            return Err(RuntimeError::NoTermination);
-        }
-        Ok(SimOutcome {
-            answers: sim.engine_answers,
-            stats: sim.stats,
-            trace: sim.trace,
-            events: sim.tracing.map(SimTracing::finish),
-            engine_ends: sim.engine_ends,
-            post_end_answers: sim.post_end_answers,
-        })
+        stats.mailbox_high_water = sim.mailboxes.high_water;
+        let mailboxes = sim.mailboxes;
+        Self::conclude(
+            &governor,
+            trip,
+            stats,
+            sim.sink,
+            || mailboxes.usage(network, &processed, |(m, _)| m),
+            sim.trace,
+            ring.map(|r| mp_trace::collect((n + 1) as u32, &r)),
+        )
     }
 }
 
-/// One frame on the faulty wire. `link` is always the *data* direction
-/// `(sender, receiver)`; ack frames travel against it.
-#[derive(Clone, Debug)]
-enum Frame {
-    /// A sequenced data frame.
-    Data {
-        /// The data link `(from, to)`.
-        link: (Endpoint, Endpoint),
-        /// Transport sequence number on that link.
-        seq: u64,
-        /// The logical message.
-        msg: Msg,
-        /// Checksum failure injected in flight: discarded on arrival.
-        corrupted: bool,
-    },
-    /// A cumulative ack for `link`, traveling receiver → sender.
-    Ack {
-        /// The data link being acknowledged.
-        link: (Endpoint, Endpoint),
-        /// Everything below this sequence number is delivered.
-        upto: u64,
-    },
-}
-
-/// All state of one fault-injected simulation run.
-struct FaultySim {
-    plan: FaultPlan,
-    recovery: bool,
-    /// Resource accounting and trip state for this run.
-    governor: Governor,
-    /// Credit window (frames in flight per link) derived from the
-    /// budget's mailbox bound; `None` = unlimited (pre-governance
-    /// behavior).
-    window: Option<u64>,
-    /// Directed node pairs inside nontrivial strong components; their
-    /// links are never windowed (deadlock freedom — see
-    /// [`Network::intra_pairs`]).
-    intra: BTreeSet<(usize, usize)>,
-    /// Pristine process clones for crash recovery (initial state).
-    pristine: Vec<Process>,
-    mailboxes: Vec<VecDeque<Msg>>,
-    fifo_tokens: VecDeque<usize>,
-    /// Durable per-node logs of every delivered message, in delivery
-    /// order. `logs[i][..processed[i]]` is the replay prefix; the
-    /// suffix is exactly the node's current mailbox.
-    logs: Vec<Vec<Msg>>,
-    processed: Vec<u64>,
-    /// Restart generation per node.
-    epochs: Vec<u64>,
-    senders: BTreeMap<(Endpoint, Endpoint), SenderLink>,
-    receivers: BTreeMap<(Endpoint, Endpoint), ReceiverLink>,
-    /// In-flight frames, keyed by `(deliver_at, uid)` — a deterministic
-    /// total order.
-    wire: BTreeMap<(u64, u64), Frame>,
-    wire_uid: u64,
-    now: u64,
+/// All state of one clean simulation run.
+struct CleanSim {
+    mailboxes: Mailboxes<Msg>,
     stats: Stats,
     trace: Option<Vec<Msg>>,
-    /// Event recording (same flag as `trace`). Records *logical* sends
-    /// and deliveries only — retransmissions, wire duplicates, and acks
-    /// below the exactly-once line are invisible to the trace, which is
-    /// what makes the batching-invariance and FIFO invariants checkable.
     tracing: Option<SimTracing>,
-    engine_answers: Relation,
-    engine_ends: u64,
-    post_end_answers: u64,
-    answer_arity: usize,
+    sink: EngineSink,
+    governor: Governor,
 }
 
-impl FaultySim {
-    /// The credit window for `link`: the budget's mailbox bound on
-    /// cross-component links and the engine injector, unlimited on
-    /// intra-component links (a window that stalls a recursive answer
-    /// its own producer transitively waits on could deadlock the
-    /// cycle).
-    fn link_window(&self, link: (Endpoint, Endpoint)) -> Option<u64> {
-        let intra = match (link.0, link.1) {
-            (Endpoint::Node(a), Endpoint::Node(b)) => self.intra.contains(&(a, b)),
-            _ => false,
-        };
-        if intra {
-            None
-        } else {
-            self.window
-        }
-    }
-
-    /// True when any of `id`'s outgoing links holds window-stalled
-    /// frames — the node's [`Ctx::pressure`] input.
-    fn node_pressure(&self, id: usize) -> bool {
-        self.senders
-            .iter()
-            .any(|(l, s)| l.0 == Endpoint::Node(id) && s.stalled() > 0)
-    }
-
-    /// A logical send: counted once (retransmissions and wire duplicates
-    /// never inflate the message counters), then framed onto the wire —
-    /// unless the link's credit window is full, in which case the frame
-    /// waits in the sender's durable buffer until acks free credits.
-    fn logical_send(&mut self, msg: Msg) -> Result<(), RuntimeError> {
+impl CleanSim {
+    /// Send one message: straight into the recipient's mailbox, or into
+    /// the engine's sink.
+    fn route(&mut self, msg: Msg) -> Result<(), RuntimeError> {
         self.stats.count_send(&msg.payload);
         self.governor
             .note_messages(describe_payload(&msg.payload).1);
@@ -834,350 +613,81 @@ impl FaultySim {
         }
         if let Some(tr) = self.tracing.as_mut() {
             tr.on_send(&msg);
-        }
-        let link = (msg.from, msg.to);
-        let window = self.link_window(link);
-        let sender = self.senders.entry(link).or_insert_with(|| SenderLink {
-            window,
-            ..SenderLink::default()
-        });
-        let seq = sender.send(msg.clone(), self.now);
-        if sender.admit(seq) {
-            self.transmit(link, seq, msg, 0);
-        } else {
-            self.stats.credits_stalled += 1;
-        }
-        Ok(())
-    }
-
-    /// Put one copy of a data frame on the wire, consulting the fault
-    /// plan for its fate.
-    fn transmit(&mut self, link: (Endpoint, Endpoint), seq: u64, msg: Msg, attempt: u32) {
-        let fate = self
-            .plan
-            .fate(endpoint_code(link.0), endpoint_code(link.1), seq, attempt);
-        if fate.dropped {
-            self.stats.fault_dropped += 1;
-            return;
-        }
-        if fate.corrupted {
-            self.stats.fault_corrupted += 1;
-        }
-        if fate.delay > 0 {
-            self.stats.fault_delayed += 1;
-        }
-        let deliver_at = self.now + 1 + fate.delay;
-        self.push_wire(
-            deliver_at,
-            Frame::Data {
-                link,
-                seq,
-                msg: msg.clone(),
-                corrupted: fate.corrupted,
-            },
-        );
-        if fate.duplicated {
-            self.stats.fault_duplicated += 1;
-            self.push_wire(
-                deliver_at + 1,
-                Frame::Data {
-                    link,
-                    seq,
-                    msg,
-                    corrupted: false,
-                },
-            );
-        }
-    }
-
-    /// Send a cumulative ack for `link` back to its sender. Acks ride
-    /// the same faulty wire (dropped or delayed acks are repaired by
-    /// the next ack or a retransmission — they are cumulative), but are
-    /// never duplicated or corrupted: a corrupt ack is just a lost ack.
-    fn send_ack(&mut self, link: (Endpoint, Endpoint), upto: u64) {
-        self.stats.acks += 1;
-        let uid = self.wire_uid; // distinct hash input per ack frame
-        let fate = self
-            .plan
-            .fate(endpoint_code(link.1), endpoint_code(link.0), uid, u32::MAX);
-        if fate.dropped || fate.corrupted {
-            self.stats.fault_dropped += 1;
-            return;
-        }
-        let deliver_at = self.now + 1 + fate.delay;
-        self.push_wire(deliver_at, Frame::Ack { link, upto });
-    }
-
-    fn push_wire(&mut self, deliver_at: u64, frame: Frame) {
-        let uid = self.wire_uid;
-        self.wire_uid += 1;
-        self.wire.insert((deliver_at, uid), frame);
-    }
-
-    /// Deliver every wire frame due at or before `now`.
-    fn deliver_due(&mut self) -> Result<(), RuntimeError> {
-        while let Some((&(t, _), _)) = self.wire.first_key_value() {
-            if t > self.now {
-                break;
-            }
-            let Some((_, frame)) = self.wire.pop_first() else {
-                break;
-            };
-            self.deliver_frame(frame)?;
-        }
-        Ok(())
-    }
-
-    fn deliver_frame(&mut self, frame: Frame) -> Result<(), RuntimeError> {
-        match frame {
-            Frame::Ack { link, upto } => {
-                let released = match self.senders.get_mut(&link) {
-                    Some(s) => {
-                        s.ack_upto(upto);
-                        // Freed credits admit stalled frames, in order.
-                        s.release()
-                    }
-                    None => Vec::new(),
-                };
-                for (seq, msg) in released {
-                    self.transmit(link, seq, msg, 0);
-                }
-                Ok(())
-            }
-            Frame::Data {
-                link,
-                seq,
-                msg,
-                corrupted,
-            } => {
-                if corrupted {
-                    // Detected checksum failure: discard; no ack, so the
-                    // sender retransmits a clean copy.
-                    return Ok(());
-                }
-                let receiver = self.receivers.entry(link).or_default();
-                match receiver.accept(seq, msg) {
-                    Accepted::Deliver(msgs) => {
-                        let upto = receiver.next_expected;
-                        self.send_ack(link, upto);
-                        for m in msgs {
-                            self.deliver_msg(m)?;
-                        }
-                        Ok(())
-                    }
-                    Accepted::Duplicate => {
-                        let upto = receiver.next_expected;
-                        self.stats.dups_discarded += 1;
-                        self.send_ack(link, upto);
-                        Ok(())
-                    }
-                    Accepted::Buffered => Ok(()),
-                }
-            }
-        }
-    }
-
-    /// Record one answer tuple at the engine endpoint.
-    fn engine_answer(&mut self, tuple: mp_storage::Tuple) -> Result<(), RuntimeError> {
-        if self.engine_ends > 0 {
-            self.post_end_answers += 1;
-        }
-        let got = tuple.arity();
-        if self.engine_answers.insert(tuple).is_err() {
-            return Err(RuntimeError::AnswerArity {
-                expected: self.answer_arity,
-                got,
-                partial_answers: self.engine_answers.len(),
-            });
-        }
-        Ok(())
-    }
-
-    /// Final, in-order, exactly-once delivery of a logical message.
-    fn deliver_msg(&mut self, msg: Msg) -> Result<(), RuntimeError> {
-        // Engine-bound messages are consumed right here, so their
-        // delivery is recorded here; node-bound ones are recorded at
-        // mailbox pop, when the node actually processes them.
-        if msg.to == Endpoint::Engine {
-            if let Some(tr) = self.tracing.as_mut() {
+            // Engine-bound messages are consumed right here, so the
+            // delivery is recorded here too.
+            if msg.to == Endpoint::Engine {
                 tr.on_deliver(&msg);
-                if matches!(msg.payload, Payload::End) {
-                    tr.on_engine_end();
-                }
             }
         }
         match msg.to {
-            Endpoint::Engine => match msg.payload {
-                Payload::Answer { tuple } => self.engine_answer(tuple),
-                Payload::AnswerBatch { tuples } => {
-                    for tuple in tuples {
-                        self.engine_answer(tuple)?;
-                    }
-                    Ok(())
-                }
-                Payload::End => {
-                    self.engine_ends += 1;
-                    Ok(())
-                }
-                Payload::EndTupleRequest { .. } | Payload::EndTupleRequestBatch { .. } => Ok(()),
-                other => Err(RuntimeError::UnexpectedEngineMessage {
-                    kind: other.kind_name(),
-                }),
-            },
+            Endpoint::Engine => {
+                self.sink.accept(msg)?;
+            }
             Endpoint::Node(id) => {
                 self.governor.note_enqueue(msg.payload.approx_bytes());
-                self.logs[id].push(msg.clone());
-                self.mailboxes[id].push_back(msg);
-                self.stats.mailbox_high_water = self
-                    .stats
-                    .mailbox_high_water
-                    .max(self.mailboxes[id].len() as u64);
-                self.fifo_tokens.push_back(id);
-                Ok(())
+                self.mailboxes.push(id, msg);
             }
         }
+        Ok(())
+    }
+}
+
+/// All state of one fault-injected simulation run besides the network:
+/// the drivers, the wire they share, and the mailboxes they deliver to.
+struct FaultySim {
+    drivers: Vec<Driver>,
+    wire: SimWire,
+    /// Delivered (in order, exactly once) but not yet processed.
+    mailboxes: Mailboxes<Stamped>,
+    trace: Option<Vec<Msg>>,
+    sink: EngineSink,
+}
+
+impl FaultySim {
+    /// A logical send through the sender's driver.
+    fn send(&mut self, msg: Msg) {
+        if let Some(t) = self.trace.as_mut() {
+            t.push(msg.clone());
+        }
+        let from = msg.from.node().unwrap_or(self.drivers.len() - 1);
+        self.drivers[from].send(msg, self.wire.now, &mut self.wire);
     }
 
-    /// Crash the node if its processed-message count hit a scheduled
-    /// crash point, then recover it by replaying the durable log through
-    /// a pristine clone (or abort, with recovery disabled).
-    fn maybe_crash(
-        &mut self,
-        network: &mut Network,
-        id: usize,
-        out: &mut Vec<Msg>,
-    ) -> Result<(), RuntimeError> {
-        let hit = self
-            .plan
-            .crashes
-            .iter()
-            .any(|c: &CrashPoint| c.node == id && c.after_processed == self.processed[id]);
-        if !hit {
-            return Ok(());
-        }
-        if !self.recovery {
-            return Err(RuntimeError::LinkDown { node: id });
-        }
-        self.stats.crashes += 1;
-        self.epochs[id] += 1;
-        self.stats.epoch_bumps += 1;
-        if let Some(tr) = self.tracing.as_mut() {
-            tr.tracers[id].on_crash(self.epochs[id]);
-        }
-
-        // Volatile transport state into the node is lost; the senders'
-        // unacked buffers (durable, like a WAL) retransmit the contents.
-        for (link, r) in self.receivers.iter_mut() {
-            if link.1 == Endpoint::Node(id) {
-                r.clear_volatile();
+    /// Hand every wire frame due at or before `now` to its addressee's
+    /// driver, and what that makes deliverable to the mailbox or engine.
+    fn deliver_due(&mut self, governor: &Governor) -> Result<(), RuntimeError> {
+        let engine = self.drivers.len() - 1;
+        while let Some(entry) = self.wire.frames.first_entry() {
+            if entry.key().0 > self.wire.now {
+                break;
             }
-        }
-
-        // Rebuild computation state: pristine clone + deterministic
-        // replay of the processed log prefix. Outputs are discarded —
-        // they were already sent (and sequenced durably) pre-crash. The
-        // mailbox (the log suffix) survives as-is. A scratch stats sink
-        // keeps replayed work out of the run's counters.
-        let mut fresh = self.pristine[id].clone();
-        let mut scratch = Stats::default();
-        let mut discard: Vec<Msg> = Vec::new();
-        let prefix = self.processed[id] as usize;
-        let mut replayed_here: u64 = 0;
-        for m in self.logs[id].iter().take(prefix) {
-            // Wave probes and replies are deliberately not replayed:
-            // protocol state resets at restart and is rebuilt by fresh
-            // epoch-tagged waves. `SccFinished` IS replayed — it is
-            // durable component state (finished, feeders released), not
-            // wave state.
-            let skip = matches!(
-                m.payload,
-                Payload::EndRequest { .. }
-                    | Payload::EndNegative { .. }
-                    | Payload::EndConfirmed { .. }
-                    | Payload::Reborn { .. }
-            );
-            if skip {
-                continue;
+            let (to, frame) = entry.remove();
+            let driver = &mut self.drivers[to.node().unwrap_or(engine)];
+            for (msg, stamp) in driver.on_frame(frame, &mut self.wire) {
+                match to {
+                    // Engine-bound messages are consumed right here;
+                    // node-bound ones are recorded at mailbox pop, when
+                    // the node actually processes them.
+                    Endpoint::Engine => {
+                        driver.note_deliver(&msg, stamp.as_deref());
+                        self.sink.accept(msg)?;
+                    }
+                    Endpoint::Node(id) => {
+                        governor.note_enqueue(msg.payload.approx_bytes());
+                        self.mailboxes.push(id, (msg, stamp));
+                    }
+                }
             }
-            let mut ctx = Ctx {
-                out: &mut discard,
-                stats: &mut scratch,
-                // Never report an empty mailbox during replay: a leader
-                // must not originate a probe wave whose messages would
-                // be discarded.
-                mailbox_empty: false,
-                pressure: false,
-                // Replayed deliveries were already recorded pre-crash;
-                // recording them again would double-count.
-                tracer: None,
-            };
-            fresh.handle(m.clone(), &mut ctx);
-            discard.clear();
-            self.stats.replayed += 1;
-            replayed_here += 1;
-        }
-        if let Some(tr) = self.tracing.as_mut() {
-            tr.tracers[id].on_recover(self.epochs[id], replayed_here);
-        }
-        // Announce the rebirth (aborts any wave in flight at the BFST
-        // parent) with the bumped epoch.
-        fresh.restarted(self.epochs[id], out);
-        network.processes[id] = fresh;
-        for m in out.drain(..) {
-            self.logical_send(m)?;
         }
         Ok(())
     }
 
-    /// Retransmit unacked messages: links idle past the plan's
-    /// `retransmit_after` horizon, or — when `force` is set because the
-    /// network is otherwise quiescent — every link with unacked traffic.
-    /// Returns whether anything was put back on the wire.
-    fn retransmit_scan(&mut self, force: bool) -> Result<bool, RuntimeError> {
-        let due: Vec<(Endpoint, Endpoint)> = self
-            .senders
-            .iter()
-            .filter(|(_, s)| {
-                if force {
-                    !s.unacked.is_empty()
-                } else {
-                    s.due(self.now, self.plan.retransmit_after)
-                }
-            })
-            .map(|(&l, _)| l)
-            .collect();
+    /// One retransmission round over every endpoint; returns whether
+    /// anything went back on the wire.
+    fn retransmit(&mut self, force: bool) -> Result<bool, RuntimeError> {
         let mut any = false;
-        for link in due {
-            let (retries, frames) = {
-                let Some(s) = self.senders.get_mut(&link) else {
-                    continue;
-                };
-                s.retries += 1;
-                s.last_activity = self.now;
-                // Admit whatever the window now covers (the release
-                // bumps `wire_hi`), then retransmit only frames that
-                // have been on the wire: stalled frames beyond the
-                // window are never forced out by a timer.
-                let _ = s.release();
-                let frames: Vec<(u64, Msg)> = s
-                    .unacked
-                    .range(..s.wire_hi)
-                    .map(|(&q, m)| (q, m.clone()))
-                    .collect();
-                (s.retries, frames)
-            };
-            if retries > self.plan.max_retries {
-                return Err(RuntimeError::RetransmitExhausted {
-                    from: link.0.node().unwrap_or(usize::MAX),
-                    to: link.1.node().unwrap_or(usize::MAX),
-                    retries,
-                });
-            }
-            for (seq, msg) in frames {
-                self.stats.retransmits += 1;
-                self.transmit(link, seq, msg, retries);
-                any = true;
-            }
+        for driver in &mut self.drivers {
+            any |= driver.retransmit(self.wire.now, force, &mut self.wire)?;
         }
         Ok(any)
     }

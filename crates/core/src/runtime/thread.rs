@@ -26,19 +26,20 @@
 //! belt-and-braces backstop making the handoff between consecutive
 //! activations on different workers a proper synchronization edge.
 //!
-//! With a [`FaultPlan`] attached, every logical send is wrapped in the
-//! sequenced/acked/retransmitting transport of [`crate::fault`]: nodes
-//! exchange `Data`/`Ack` frames instead of bare messages, workers tick
-//! their assigned nodes every [`TICK`] to release delayed frames,
-//! retransmit unacked ones and give idle nodes their probe-origination
-//! nudge, and scheduled crashes are recovered by replaying the node's
-//! durable message log through a pristine process clone — the same
-//! write-ahead-log semantics as the simulator (see DESIGN.md). Fault
-//! fates are pure functions of `(seed, link, seq, attempt)`, so a plan
-//! injects the same faults on the same logical message stream as the
-//! simulator does. The clean path (`fault_plan: None`) sends `Plain`
-//! frames with no sequence numbers, no acks, and no ticks — zero
-//! transport overhead.
+//! With a [`FaultPlan`] attached, every logical send goes through the
+//! recovery transport driver of [`crate::runtime::transport`] — the same
+//! one the simulator runs: nodes exchange `Data`/`Ack` frames instead of
+//! bare messages, and scheduled crashes are recovered by replaying the
+//! node's durable message log through a pristine process clone (see
+//! DESIGN.md). This runtime supplies the driver's wire (mailboxes, the
+//! engine channel, and a delayed-frame timer) and clock (milliseconds
+//! since the run started): workers tick their assigned nodes every
+//! [`TICK`] to release delayed frames, retransmit unacked ones and give
+//! idle nodes their probe-origination nudge. Fault fates are pure
+//! functions of `(seed, link, seq, attempt)`, so a plan injects the same
+//! faults on the same logical message stream as in the simulator. The
+//! clean path (`fault_plan: None`) sends `Plain` frames with no sequence
+//! numbers, no acks, and no ticks — zero transport overhead.
 //!
 //! Sharded evaluation is likewise invisible here: the pool schedules
 //! physical processes, of which a sharded node simply contributes `K`.
@@ -49,18 +50,19 @@
 //! `TermState`, and those captain links are registered as intra pairs so
 //! the credit window never throttles the wave (see DESIGN.md).
 
-use crate::fault::{endpoint_code, Accepted, CrashPoint, FaultPlan, ReceiverLink, SenderLink};
-use crate::msg::{Endpoint, Msg, Payload};
+use crate::fault::FaultPlan;
+use crate::msg::{Endpoint, Msg};
 use crate::node::{Ctx, Network, Process};
-use crate::runtime::govern::{CancelToken, Governor, NodeUsage, QueryBudget, Trip};
+use crate::runtime::govern::{CancelToken, Governor, QueryBudget, Trip};
+use crate::runtime::transport::{query_messages, Config, Driver, EngineSink, Frame, Stamped, Wire};
 use crate::runtime::{
-    budget_error, describe_payload, trace_actor, RuntimeError, TRACE_RING_CAPACITY,
+    budget_error, cancel_wave_on_trip, node_usage, tracer_for, RuntimeError, TRACE_RING_CAPACITY,
 };
 use crate::stats::Stats;
 use crossbeam_channel::{unbounded, RecvTimeoutError, Sender};
 use mp_storage::{Relation, Tuple};
-use mp_trace::{Event, Ring, Stamp, Trace, Tracer};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use mp_trace::{Event, Ring, Stamp, Trace};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -86,28 +88,14 @@ const MAINTENANCE_EVERY: usize = 64;
 
 /// What actually travels through a mailbox. The clean path sends `Plain`
 /// logical messages — the mailbox itself is the reliable FIFO link. The
-/// fault path sends sequenced `Data` frames and cumulative `Ack`s, with
-/// the link identified by the frame's endpoints (`msg.from` for data,
-/// `peer` for acks).
+/// fault path sends the recovery transport's `Data` and `Ack` frames.
 #[derive(Clone, Debug)]
 enum TMsg {
     /// A logical message on the reliable clean path, with its causal
     /// stamp when tracing is on (`None` otherwise — zero tracing cost).
-    Plain(Msg, Option<Stamp>),
-    /// A sequenced data frame on the faulty path.
-    Data {
-        seq: u64,
-        msg: Msg,
-        /// Checksum failure injected in flight: discarded on arrival.
-        corrupted: bool,
-        /// Causal stamp of the logical send, when tracing is on.
-        /// Retransmissions carry the *same* stamp — one logical send,
-        /// one stamp, however many frames it takes.
-        stamp: Option<Stamp>,
-    },
-    /// Cumulative ack: everything `peer` received below `upto` on the
-    /// link from this endpoint is delivered.
-    Ack { peer: Endpoint, upto: u64 },
+    Plain(Msg, Option<Box<Stamp>>),
+    /// A recovery-transport frame on the faulty path.
+    Wire(Frame),
     /// A node hit a fatal condition (crash with recovery disabled,
     /// retransmission budget exhausted); routed to the engine, which
     /// aborts the run with the carried error.
@@ -161,8 +149,8 @@ struct PoolNet {
 /// free.
 fn frame_bytes(f: &TMsg) -> u64 {
     match f {
-        TMsg::Plain(m, _) | TMsg::Data { msg: m, .. } => m.payload.approx_bytes(),
-        TMsg::Ack { .. } | TMsg::Fatal(_) => 0,
+        TMsg::Plain(m, _) | TMsg::Wire(Frame::Data { msg: m, .. }) => m.payload.approx_bytes(),
+        TMsg::Wire(Frame::Ack { .. }) | TMsg::Fatal(_) => 0,
     }
 }
 
@@ -200,10 +188,6 @@ impl PoolNet {
             governor,
             mailbox_hw: AtomicU64::new(0),
         }
-    }
-
-    fn n_nodes(&self) -> usize {
-        self.mailboxes.len()
     }
 
     /// Deliver a frame to a node's mailbox; if the node was unscheduled,
@@ -331,93 +315,22 @@ impl PoolNet {
     }
 }
 
-/// Per-endpoint transport state: logical sends, fault-injected framing,
-/// ack bookkeeping, delayed-frame release, and retransmission. With
-/// `plan: None` it degenerates to counting stats and forwarding `Plain`
-/// frames. Node transports live inside the node's [`NodeState`] (driven
-/// by whichever worker holds the activation); the engine thread owns its
-/// own.
-struct Transport {
-    me: Endpoint,
-    plan: Option<FaultPlan>,
-    start: Instant,
+/// The pool's side of one endpoint's wire: mailboxes for nodes, a
+/// channel for the engine, and a timer list for frames the fault plan
+/// delays.
+struct PoolWire {
     net: Arc<PoolNet>,
     engine_tx: Sender<TMsg>,
     /// The worker currently driving this endpoint (`None` on the engine
     /// thread): its deque receives the activations this endpoint's sends
     /// trigger.
     hint: Option<usize>,
-    outgoing: BTreeMap<Endpoint, SenderLink>,
-    incoming: BTreeMap<Endpoint, ReceiverLink>,
-    /// Shared resource accounting (logical-message budget).
-    governor: Arc<Governor>,
-    /// Credit window (frames in flight per link) from the budget's
-    /// mailbox bound; `None` = unlimited.
-    window: Option<u64>,
-    /// Directed node pairs inside nontrivial strong components; their
-    /// links are never windowed (deadlock freedom — see
-    /// [`Network::intra_pairs`]).
-    intra: Arc<BTreeSet<(usize, usize)>>,
     /// Frames held back by an injected delay, with their release time.
-    delayed: Vec<(Instant, Endpoint, TMsg)>,
-    /// Distinct hash input per ack frame (acks have no sequence number).
-    ack_uid: u64,
-    stats: Stats,
-    /// Event recorder for this endpoint; `None` when tracing is off.
-    tracer: Option<Tracer>,
-    /// Stamps of unacked sends, keyed by `(destination, seq)`, so
-    /// retransmissions carry the original stamp. Pruned on ack.
-    out_stamps: BTreeMap<(Endpoint, u64), Stamp>,
-    /// Stamps of frames buffered out of order at the receiver, keyed by
-    /// `(source, seq)`, popped when the frame becomes deliverable.
-    in_stamps: BTreeMap<(Endpoint, u64), Stamp>,
+    delayed: Vec<(Instant, Endpoint, Frame)>,
 }
 
-impl Transport {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        me: Endpoint,
-        plan: Option<FaultPlan>,
-        start: Instant,
-        net: Arc<PoolNet>,
-        engine_tx: Sender<TMsg>,
-        tracer: Option<Tracer>,
-        window: Option<u64>,
-        intra: Arc<BTreeSet<(usize, usize)>>,
-    ) -> Transport {
-        let governor = Arc::clone(&net.governor);
-        Transport {
-            me,
-            plan,
-            start,
-            net,
-            engine_tx,
-            hint: None,
-            outgoing: BTreeMap::new(),
-            incoming: BTreeMap::new(),
-            governor,
-            window,
-            intra,
-            delayed: Vec::new(),
-            ack_uid: 0,
-            stats: Stats::default(),
-            tracer,
-            out_stamps: BTreeMap::new(),
-            in_stamps: BTreeMap::new(),
-        }
-    }
-
-    /// Number of node endpoints (the engine is actor `n` in the trace).
-    fn n_nodes(&self) -> usize {
-        self.net.n_nodes()
-    }
-
-    /// Milliseconds since the run started — the transport clock.
-    fn now_ms(&self) -> u64 {
-        self.start.elapsed().as_millis() as u64
-    }
-
-    fn send_frame(&self, to: Endpoint, frame: TMsg) {
+impl PoolWire {
+    fn post(&self, to: Endpoint, frame: TMsg) {
         // A failed engine send means the engine stopped collecting; the
         // run is already being torn down.
         match to {
@@ -425,210 +338,6 @@ impl Transport {
                 let _ = self.engine_tx.send(frame);
             }
             Endpoint::Node(t) => self.net.post(t, frame, self.hint),
-        }
-    }
-
-    /// The credit window for the link to `to`: the budget's mailbox
-    /// bound on cross-component links and the engine injector,
-    /// unlimited on intra-component links (a window that stalls a
-    /// recursive answer its own producer transitively waits on could
-    /// deadlock the cycle).
-    fn link_window(&self, to: Endpoint) -> Option<u64> {
-        let intra = match (self.me, to) {
-            (Endpoint::Node(a), Endpoint::Node(b)) => self.intra.contains(&(a, b)),
-            _ => false,
-        };
-        if intra {
-            None
-        } else {
-            self.window
-        }
-    }
-
-    /// True when any outgoing link holds window-stalled frames — the
-    /// node's [`Ctx::pressure`] input.
-    fn under_pressure(&self) -> bool {
-        self.window.is_some() && self.outgoing.values().any(|s| s.stalled() > 0)
-    }
-
-    /// A logical send: counted once (retransmissions and wire duplicates
-    /// never inflate the message counters), stamped when tracing, then
-    /// framed — unless the link's credit window is full, in which case
-    /// the frame waits in the sender's durable buffer until acks free
-    /// credits.
-    fn send_logical(&mut self, m: Msg) {
-        self.stats.count_send(&m.payload);
-        self.governor.note_messages(describe_payload(&m.payload).1);
-        let n = self.n_nodes();
-        let stamp = self.tracer.as_mut().map(|tr| {
-            let (kind, items, wave, epoch) = describe_payload(&m.payload);
-            if items > 1 {
-                tr.on_flush(items);
-            }
-            tr.on_send(trace_actor(m.to, n), kind, items, wave, epoch)
-        });
-        if self.plan.is_none() {
-            self.send_frame(m.to, TMsg::Plain(m, stamp));
-            return;
-        }
-        let to = m.to;
-        let now = self.now_ms();
-        let window = self.link_window(to);
-        let link = self.outgoing.entry(to).or_insert_with(|| SenderLink {
-            window,
-            ..SenderLink::default()
-        });
-        let seq = link.send(m.clone(), now);
-        let admitted = link.admit(seq);
-        if let Some(s) = stamp {
-            self.out_stamps.insert((to, seq), s);
-        }
-        if admitted {
-            self.transmit(to, seq, m, 0);
-        } else {
-            self.stats.credits_stalled += 1;
-        }
-    }
-
-    /// Put one copy of a data frame on the wire, consulting the fault
-    /// plan for its fate.
-    fn transmit(&mut self, to: Endpoint, seq: u64, msg: Msg, attempt: u32) {
-        let Some(plan) = &self.plan else {
-            return;
-        };
-        let fate = plan.fate(endpoint_code(self.me), endpoint_code(to), seq, attempt);
-        if fate.dropped {
-            self.stats.fault_dropped += 1;
-            return;
-        }
-        if fate.corrupted {
-            self.stats.fault_corrupted += 1;
-        }
-        let stamp = self.out_stamps.get(&(to, seq)).cloned();
-        let frame = TMsg::Data {
-            seq,
-            msg: msg.clone(),
-            corrupted: fate.corrupted,
-            stamp: stamp.clone(),
-        };
-        if fate.delay > 0 {
-            self.stats.fault_delayed += 1;
-            self.delayed.push((
-                Instant::now() + Duration::from_millis(fate.delay),
-                to,
-                frame,
-            ));
-        } else {
-            self.send_frame(to, frame);
-        }
-        if fate.duplicated {
-            self.stats.fault_duplicated += 1;
-            self.delayed.push((
-                Instant::now() + Duration::from_millis(fate.delay + 1),
-                to,
-                TMsg::Data {
-                    seq,
-                    msg,
-                    corrupted: false,
-                    stamp,
-                },
-            ));
-        }
-    }
-
-    /// Accept one data frame from `from`; returns the logical messages
-    /// now deliverable in order, each paired with its causal stamp
-    /// (empty for duplicates and reorder gaps).
-    fn accept_data(
-        &mut self,
-        from: Endpoint,
-        seq: u64,
-        msg: Msg,
-        stamp: Option<Stamp>,
-    ) -> Vec<(Msg, Option<Stamp>)> {
-        let (accepted, base, upto) = {
-            let rl = self.incoming.entry(from).or_default();
-            // Capture `next_expected` BEFORE accepting: a stale
-            // duplicate (seq below it) must not park a stamp that
-            // nothing will ever pop.
-            let base = rl.next_expected;
-            if seq >= base {
-                if let Some(s) = stamp {
-                    self.in_stamps.entry((from, seq)).or_insert(s);
-                }
-            }
-            let a = rl.accept(seq, msg);
-            (a, base, rl.next_expected)
-        };
-        match accepted {
-            Accepted::Deliver(msgs) => {
-                self.send_ack(from, upto);
-                // In-order release: the delivered run is exactly the
-                // sequence window `base..upto`.
-                msgs.into_iter()
-                    .enumerate()
-                    .map(|(i, m)| (m, self.in_stamps.remove(&(from, base + i as u64))))
-                    .collect()
-            }
-            Accepted::Duplicate => {
-                self.stats.dups_discarded += 1;
-                self.send_ack(from, upto);
-                Vec::new()
-            }
-            Accepted::Buffered => Vec::new(),
-        }
-    }
-
-    /// Send a cumulative ack back to `to`. Acks ride the same faulty
-    /// wire (a lost ack is repaired by the next one — they are
-    /// cumulative) but are never duplicated; a corrupt ack is just a
-    /// lost ack.
-    fn send_ack(&mut self, to: Endpoint, upto: u64) {
-        self.ack_uid += 1;
-        let uid = self.ack_uid;
-        let Some(plan) = &self.plan else {
-            return;
-        };
-        self.stats.acks += 1;
-        let n = self.n_nodes();
-        if let Some(tr) = self.tracer.as_mut() {
-            tr.on_ack(trace_actor(to, n), upto);
-        }
-        let fate = plan.fate(endpoint_code(self.me), endpoint_code(to), uid, u32::MAX);
-        if fate.dropped || fate.corrupted {
-            self.stats.fault_dropped += 1;
-            return;
-        }
-        let frame = TMsg::Ack {
-            peer: self.me,
-            upto,
-        };
-        if fate.delay > 0 {
-            self.delayed.push((
-                Instant::now() + Duration::from_millis(fate.delay),
-                to,
-                frame,
-            ));
-        } else {
-            self.send_frame(to, frame);
-        }
-    }
-
-    fn on_ack(&mut self, peer: Endpoint, upto: u64) {
-        let released = match self.outgoing.get_mut(&peer) {
-            Some(s) => {
-                s.ack_upto(upto);
-                // Freed credits admit stalled frames, in order.
-                s.release()
-            }
-            None => Vec::new(),
-        };
-        // Acked sends can never be retransmitted; drop their stamps.
-        if !self.out_stamps.is_empty() {
-            self.out_stamps.retain(|&(p, s), _| p != peer || s >= upto);
-        }
-        for (seq, msg) in released {
-            self.transmit(peer, seq, msg, 0);
         }
     }
 
@@ -642,116 +351,106 @@ impl Transport {
         while i < self.delayed.len() {
             if self.delayed[i].0 <= now {
                 let (_, to, frame) = self.delayed.swap_remove(i);
-                self.send_frame(to, frame);
+                self.post(to, TMsg::Wire(frame));
             } else {
                 i += 1;
             }
         }
     }
+}
 
-    /// Retransmit unacked messages on links idle past the plan's
-    /// `retransmit_after` horizon (interpreted as milliseconds here).
-    fn retransmit_due(&mut self) -> Result<(), RuntimeError> {
-        let (after, max_retries) = match &self.plan {
-            Some(p) => (p.retransmit_after, p.max_retries),
-            None => return Ok(()),
-        };
-        let now = self.now_ms();
-        let due: Vec<Endpoint> = self
-            .outgoing
-            .iter()
-            .filter(|(_, s)| s.due(now, after))
-            .map(|(&to, _)| to)
-            .collect();
-        for to in due {
-            let (retries, frames) = {
-                let Some(s) = self.outgoing.get_mut(&to) else {
-                    continue;
-                };
-                s.retries += 1;
-                s.last_activity = now;
-                // Admit whatever the window now covers, then retransmit
-                // only frames that have been on the wire: stalled
-                // frames beyond the window are never forced out by a
-                // timer.
-                let _ = s.release();
-                let frames: Vec<(u64, Msg)> = s
-                    .unacked
-                    .range(..s.wire_hi)
-                    .map(|(&q, m)| (q, m.clone()))
-                    .collect();
-                (s.retries, frames)
-            };
-            if retries > max_retries {
-                return Err(RuntimeError::RetransmitExhausted {
-                    from: self.me.node().unwrap_or(usize::MAX),
-                    to: to.node().unwrap_or(usize::MAX),
-                    retries,
-                });
-            }
-            for (seq, msg) in frames {
-                self.stats.retransmits += 1;
-                self.transmit(to, seq, msg, retries);
-            }
+impl Wire for PoolWire {
+    fn put(&mut self, to: Endpoint, frame: Frame, delay: u64) {
+        if delay == 0 {
+            self.post(to, TMsg::Wire(frame));
+        } else {
+            let at = Instant::now() + Duration::from_millis(delay);
+            self.delayed.push((at, to, frame));
         }
-        Ok(())
     }
 }
 
-/// One node's state: its process, transport endpoint, durable message
-/// log, and crash/recovery bookkeeping. Behind a mutex so consecutive
-/// activations on different workers hand the state off with a proper
-/// synchronization edge (the scheduled bit already makes the lock
-/// uncontended).
+/// One endpoint of the pool's network: the transport driver plus this
+/// runtime's wire and clock for it. Node ports live inside the node's
+/// [`NodeState`] (driven by whichever worker holds the activation); the
+/// engine thread owns its own. On the clean path only the driver's
+/// logical bookkeeping (counters, stamps) is used and messages are
+/// posted `Plain`.
+struct Port {
+    d: Driver,
+    wire: PoolWire,
+    fault_mode: bool,
+    start: Instant,
+}
+
+impl Port {
+    /// Milliseconds since the run started — the transport clock.
+    fn now_ms(&self) -> u64 {
+        self.start.elapsed().as_millis() as u64
+    }
+
+    fn send_logical(&mut self, m: Msg) {
+        if self.fault_mode {
+            self.d.send(m, self.now_ms(), &mut self.wire);
+        } else {
+            let stamp = self.d.note_send(&m);
+            self.wire.post(m.to, TMsg::Plain(m, stamp));
+        }
+    }
+
+    /// Take one recovery frame off the wire; returns the logical
+    /// messages now deliverable in order, each with its causal stamp.
+    fn on_frame(&mut self, frame: Frame) -> Vec<Stamped> {
+        self.d.on_frame(frame, &mut self.wire)
+    }
+
+    /// Fault-mode transport maintenance: release delayed frames whose
+    /// time has come and retransmit on links idle past the plan's
+    /// `retransmit_after` horizon (milliseconds here).
+    fn maintain(&mut self) -> Result<(), RuntimeError> {
+        self.wire.flush_delayed();
+        self.d
+            .retransmit(self.now_ms(), false, &mut self.wire)
+            .map(|_| ())
+    }
+}
+
+/// One node's state: its process, its port, and per-run bookkeeping.
+/// Behind a mutex so consecutive activations on different workers hand
+/// the state off with a proper synchronization edge (the scheduled bit
+/// already makes the lock uncontended).
 struct NodeState {
-    id: usize,
     process: Process,
-    /// Initial-state clone for crash recovery (fault mode only).
-    pristine: Option<Process>,
-    recovery: bool,
-    /// This node's scheduled crash points.
-    crashes: Vec<CrashPoint>,
-    t: Transport,
-    /// Durable log of every processed message, in processing order.
-    log: Vec<Msg>,
-    /// Restart generation.
-    epoch: u64,
-    /// Logical messages processed (budget accounting; the durable log
-    /// only exists in fault mode, so this is counted separately).
+    t: Port,
+    /// Logical messages processed (budget accounting).
     processed: u64,
     /// Reusable output buffer for `Process::handle`.
     scratch: Vec<Msg>,
-    /// The node hit a fatal condition; its traffic is discarded from
+    /// The node hit a fatal condition (crash with recovery disabled,
+    /// retransmission budget exhausted); its traffic is discarded from
     /// here on (the `Fatal` frame it sent aborts the run).
     fatal: bool,
 }
 
 impl NodeState {
+    /// Report a fatal condition to the engine and stop the node.
+    fn fail(&mut self, e: RuntimeError) {
+        let _ = self.t.wire.engine_tx.send(TMsg::Fatal(e));
+        self.fatal = true;
+    }
+
     /// Handle one mailbox frame.
     fn handle_frame(&mut self, frame: TMsg, mb: &Mailbox) {
         match frame {
-            TMsg::Plain(msg, stamp) => {
-                if !self.process_msg(msg, stamp, mb) {
-                    self.fatal = true;
-                }
-            }
-            TMsg::Data {
-                seq,
-                msg,
-                corrupted,
-                stamp,
-            } => {
-                if !corrupted {
-                    let from = msg.from;
-                    for (m, s) in self.t.accept_data(from, seq, msg, stamp) {
-                        if !self.process_msg(m, s, mb) {
-                            self.fatal = true;
-                            break;
-                        }
+            TMsg::Plain(msg, stamp) => self.process_msg(msg, stamp, mb),
+            TMsg::Wire(frame) => {
+                for (msg, stamp) in self.t.on_frame(frame) {
+                    if self.fatal {
+                        break;
                     }
+                    self.process_msg(msg, stamp, mb);
                 }
             }
-            TMsg::Ack { peer, upto } => self.t.on_ack(peer, upto),
             // Fatal frames are addressed to the engine only.
             TMsg::Fatal(_) => {}
         }
@@ -764,13 +463,13 @@ impl NodeState {
     /// fresh waves rather than replay.
     fn poke(&mut self, mb: &Mailbox) {
         let mailbox_empty = mb.q.lock().unwrap().is_empty();
-        let pressure = self.t.under_pressure();
+        let pressure = self.t.d.under_pressure();
         let mut ctx = Ctx {
             out: &mut self.scratch,
-            stats: &mut self.t.stats,
+            stats: &mut self.t.d.stats,
             mailbox_empty,
             pressure,
-            tracer: self.t.tracer.as_mut(),
+            tracer: self.t.d.tracer.as_mut(),
         };
         self.process.poke(&mut ctx);
         for m in self.scratch.drain(..) {
@@ -778,136 +477,40 @@ impl NodeState {
         }
     }
 
-    /// Handle one delivered logical message; returns `false` when the
-    /// node must stop (crash with recovery disabled).
-    fn process_msg(&mut self, msg: Msg, stamp: Option<Stamp>, mb: &Mailbox) -> bool {
-        if self.t.plan.is_some() {
-            self.log.push(msg.clone());
+    /// Handle one delivered logical message, then take the crash the
+    /// fault plan may have scheduled right after it.
+    fn process_msg(&mut self, msg: Msg, stamp: Option<Box<Stamp>>, mb: &Mailbox) {
+        if self.t.fault_mode {
+            self.t.d.log(&msg);
         }
-        let n = self.t.n_nodes();
-        if let Some(tr) = self.t.tracer.as_mut() {
-            let (kind, items, wave, epoch) = describe_payload(&msg.payload);
-            tr.on_deliver(
-                trace_actor(msg.from, n),
-                stamp.as_ref(),
-                kind,
-                items,
-                wave,
-                epoch,
-            );
-        }
+        self.t.d.note_deliver(&msg, stamp.as_deref());
         let mailbox_empty = mb.q.lock().unwrap().is_empty();
-        let pressure = self.t.under_pressure();
+        let pressure = self.t.d.under_pressure();
         let mut ctx = Ctx {
             out: &mut self.scratch,
-            stats: &mut self.t.stats,
+            stats: &mut self.t.d.stats,
             mailbox_empty,
             pressure,
-            tracer: self.t.tracer.as_mut(),
+            tracer: self.t.d.tracer.as_mut(),
         };
         self.process.handle(msg, &mut ctx);
         self.processed += 1;
         for m in self.scratch.drain(..) {
             self.t.send_logical(m);
         }
-        self.maybe_crash()
-    }
-
-    /// Crash the node if its processed-message count hit a scheduled
-    /// crash point, then recover it by replaying the durable log through
-    /// a pristine clone (or report a fatal error, with recovery
-    /// disabled). Mirrors the simulator's recovery exactly.
-    fn maybe_crash(&mut self) -> bool {
-        if self.crashes.is_empty() {
-            return true;
-        }
-        let processed = self.log.len() as u64;
-        if !self.crashes.iter().any(|c| c.after_processed == processed) {
-            return true;
-        }
-        if !self.recovery {
-            let _ = self
-                .t
-                .engine_tx
-                .send(TMsg::Fatal(RuntimeError::LinkDown { node: self.id }));
-            return false;
-        }
-        let mut fresh = match &self.pristine {
-            Some(p) => p.clone(),
-            None => return true,
-        };
-        self.t.stats.crashes += 1;
-        self.epoch += 1;
-        self.t.stats.epoch_bumps += 1;
-        if let Some(tr) = self.t.tracer.as_mut() {
-            tr.on_crash(self.epoch);
-        }
-
-        // Volatile transport state into the node is lost; the senders'
-        // unacked buffers (durable, like a WAL) retransmit the contents.
-        for r in self.t.incoming.values_mut() {
-            r.clear_volatile();
-        }
-
-        // Rebuild computation state: pristine clone + deterministic
-        // replay of the durable log. Outputs are discarded — they were
-        // already sent (and sequenced durably) pre-crash. Wave probes
-        // and replies are not replayed: protocol state resets at restart
-        // and is rebuilt by fresh epoch-tagged waves. `SccFinished` IS
-        // replayed — durable component state, not wave state. A scratch
-        // stats sink keeps replayed work out of the run's counters.
-        let mut scratch_stats = Stats::default();
-        let mut discard: Vec<Msg> = Vec::new();
-        let mut replayed: u64 = 0;
-        for m in &self.log {
-            let skip = matches!(
-                m.payload,
-                Payload::EndRequest { .. }
-                    | Payload::EndNegative { .. }
-                    | Payload::EndConfirmed { .. }
-                    | Payload::Reborn { .. }
-            );
-            if skip {
-                continue;
+        if self.t.fault_mode {
+            match self.t.d.maybe_crash(&mut self.process) {
+                Ok(reborn) => reborn.into_iter().for_each(|m| self.t.send_logical(m)),
+                Err(e) => self.fail(e),
             }
-            let mut ctx = Ctx {
-                out: &mut discard,
-                stats: &mut scratch_stats,
-                // Never report an empty mailbox during replay: a leader
-                // must not originate a probe wave whose messages would
-                // be discarded.
-                mailbox_empty: false,
-                pressure: false,
-                // Replayed deliveries were already recorded pre-crash;
-                // recording them again would double-count.
-                tracer: None,
-            };
-            fresh.handle(m.clone(), &mut ctx);
-            discard.clear();
-            replayed += 1;
         }
-        self.t.stats.replayed += replayed;
-        if let Some(tr) = self.t.tracer.as_mut() {
-            tr.on_recover(self.epoch, replayed);
-        }
-        self.process = fresh;
-        // Announce the rebirth (aborts any wave in flight at the BFST
-        // parent) with the bumped epoch.
-        let mut out: Vec<Msg> = Vec::new();
-        self.process.restarted(self.epoch, &mut out);
-        for m in out {
-            self.t.send_logical(m);
-        }
-        true
     }
 
     /// Fault-mode transport maintenance; reports a fatal retransmission
     /// exhaustion to the engine.
     fn maintain(&mut self) {
-        self.t.flush_delayed();
-        if let Err(e) = self.t.retransmit_due() {
-            let _ = self.t.engine_tx.send(TMsg::Fatal(e));
-            self.fatal = true;
+        if let Err(e) = self.t.maintain() {
+            self.fail(e);
         }
     }
 }
@@ -952,7 +555,7 @@ impl PoolWorker {
         let mb = &self.net.mailboxes[id];
         {
             let mut st = self.nodes[id].lock().unwrap();
-            st.t.hint = Some(self.id);
+            st.t.wire.hint = Some(self.id);
             // Cooperative cancellation check at the activation boundary:
             // a tripped budget quiesces the node now, without waiting
             // for the engine's cancel wave to traverse a deep mailbox.
@@ -999,59 +602,13 @@ impl PoolWorker {
             {
                 let mut st = self.nodes[id].lock().unwrap();
                 if !st.fatal {
-                    st.t.hint = Some(self.id);
+                    st.t.wire.hint = Some(self.id);
                     st.poke(mb);
                     st.maintain();
                 }
             }
             self.net.reschedule_if_nonempty(id, Some(self.id));
         }
-    }
-}
-
-/// Consume one logical message at the engine endpoint. Returns `Ok(true)`
-/// on the final `End`, `Ok(false)` to keep collecting, or a typed error —
-/// never panics, whatever arrives.
-fn engine_accept(
-    msg: Msg,
-    answers: &mut Relation,
-    engine_ends: &mut u64,
-    post_end_answers: &mut u64,
-    answer_arity: usize,
-) -> Result<bool, RuntimeError> {
-    let mut accept_one = |tuple: mp_storage::Tuple| -> Result<(), RuntimeError> {
-        if *engine_ends > 0 {
-            *post_end_answers += 1;
-        }
-        let got = tuple.arity();
-        if answers.insert(tuple).is_err() {
-            return Err(RuntimeError::AnswerArity {
-                expected: answer_arity,
-                got,
-                partial_answers: answers.len(),
-            });
-        }
-        Ok(())
-    };
-    match msg.payload {
-        Payload::Answer { tuple } => {
-            accept_one(tuple)?;
-            Ok(false)
-        }
-        Payload::AnswerBatch { tuples } => {
-            for tuple in tuples {
-                accept_one(tuple)?;
-            }
-            Ok(false)
-        }
-        Payload::End => {
-            *engine_ends += 1;
-            Ok(true)
-        }
-        Payload::EndTupleRequest { .. } | Payload::EndTupleRequestBatch { .. } => Ok(false),
-        other => Err(RuntimeError::UnexpectedEngineMessage {
-            kind: other.kind_name(),
-        }),
     }
 }
 
@@ -1076,7 +633,8 @@ pub struct ThreadOutcome {
 /// The threaded runtime: a worker pool with work-stealing deques.
 #[derive(Clone, Debug)]
 pub struct ThreadRuntime {
-    /// Wall-clock budget for the whole evaluation.
+    /// Wall-clock budget for the whole evaluation. The deadline enforced
+    /// is the smaller of this and `budget.deadline`.
     pub timeout: Duration,
     /// Fault-injection plan; `None` runs the pristine 1986 model with
     /// zero transport overhead. Delay and retransmission horizons are
@@ -1093,10 +651,9 @@ pub struct ThreadRuntime {
     /// never larger than the node count — nodes are the unit of
     /// parallelism).
     pub workers: usize,
-    /// Resource budget: logical-message and memory high-water limits
-    /// plus the per-link credit window (mailbox bound). The wall-clock
-    /// deadline lives in `timeout` here (kept as its own field so the
-    /// existing chaos/pool configuration keeps working).
+    /// Resource budget: deadline, logical-message and memory high-water
+    /// limits, and the per-link credit window (mailbox bound). The step
+    /// guard is the simulator's; the pool does not count steps.
     pub budget: QueryBudget,
     /// Cooperative cancellation handle; trip it from any thread to run
     /// a cancel drain wave and return [`RuntimeError::Cancelled`].
@@ -1138,30 +695,31 @@ impl ThreadRuntime {
     /// [`ThreadRuntime::run`] with explicit top-level tuple requests.
     pub fn run_with_requests(
         &self,
-        network: Network,
+        mut network: Network,
         requests: impl IntoIterator<Item = Tuple>,
     ) -> Result<ThreadOutcome, RuntimeError> {
         let n = network.processes.len();
-        let answer_arity = network.answer_arity;
-        let root = network.root;
         let fault_mode = self.fault_plan.is_some();
         let start = Instant::now();
+        let timeout = self.timeout.min(self.budget.deadline);
         let workers = self.pool_size(n);
 
         let governor = Arc::new(Governor::new(self.budget.clone(), self.cancel.clone()));
-        // Credit windows need the intra-component pairs (never windowed)
-        // before the network is consumed into per-node state.
-        let intra = Arc::new(network.intra_pairs());
-        // Likewise the shard map, for per-instance abort accounting.
-        let shard_of: Vec<usize> = network.shard_of.iter().map(|&(_, s)| s).collect();
-        let window = if fault_mode {
-            self.budget.mailbox_bound.map(|b| b as u64)
-        } else {
-            // Without a transport (no seq/ack stream) there is nothing
-            // to carry credits; the bound still caps nothing here, but
-            // `mailbox_high_water` is tracked either way.
-            None
-        };
+        let cfg = Arc::new(Config {
+            // Never consulted on the clean path, which frames nothing.
+            plan: self.fault_plan.clone().unwrap_or_default(),
+            recovery: self.recovery,
+            // Credits ride the seq/ack stream, so without a transport
+            // the mailbox bound caps nothing (`mailbox_high_water` is
+            // tracked either way).
+            window: (self.budget.mailbox_bound.filter(|_| fault_mode)).map(|b| b as u64),
+            intra: network.intra_pairs(),
+            n_nodes: n,
+            governor: Arc::clone(&governor),
+        });
+        let mut sink = EngineSink::new(network.answer_arity);
+        let initial = query_messages(network.root, requests);
+        let shard_of = std::mem::take(&mut network.shard_of);
 
         let net = Arc::new(PoolNet::new(n, workers, Arc::clone(&governor)));
         let (engine_tx, engine_rx) = unbounded::<TMsg>();
@@ -1173,45 +731,28 @@ impl ThreadRuntime {
         } else {
             None
         };
-        let mk_tracer = |actor: usize| {
-            ring.as_ref()
-                .map(|r| Tracer::new(actor as u32, (n + 1) as u32, Arc::clone(r)))
+        let port = |me: Endpoint, pristine: Option<Process>| {
+            let tracer = tracer_for(ring.as_ref(), me.node().unwrap_or(n), n);
+            Port {
+                d: Driver::new(me, Arc::clone(&cfg), tracer, pristine),
+                wire: PoolWire {
+                    net: Arc::clone(&net),
+                    engine_tx: engine_tx.clone(),
+                    hint: None,
+                    delayed: Vec::new(),
+                },
+                fault_mode,
+                start,
+            }
         };
 
         let nodes: Arc<Vec<Mutex<NodeState>>> = Arc::new(
-            network
-                .processes
-                .into_iter()
-                .enumerate()
+            (network.processes.into_iter().enumerate())
                 .map(|(id, process)| {
-                    let plan = self.fault_plan.clone();
-                    let crashes: Vec<CrashPoint> = plan
-                        .as_ref()
-                        .map(|p| p.crashes.iter().filter(|c| c.node == id).copied().collect())
-                        .unwrap_or_default();
-                    let pristine = if fault_mode {
-                        Some(process.clone())
-                    } else {
-                        None
-                    };
+                    let pristine = fault_mode.then(|| process.clone());
                     Mutex::new(NodeState {
-                        id,
+                        t: port(Endpoint::Node(id), pristine),
                         process,
-                        pristine,
-                        recovery: self.recovery,
-                        crashes,
-                        t: Transport::new(
-                            Endpoint::Node(id),
-                            plan,
-                            start,
-                            Arc::clone(&net),
-                            engine_tx.clone(),
-                            mk_tracer(id),
-                            window,
-                            Arc::clone(&intra),
-                        ),
-                        log: Vec::new(),
-                        epoch: 0,
                         processed: 0,
                         scratch: Vec::new(),
                         fatal: false,
@@ -1254,65 +795,37 @@ impl ThreadRuntime {
             }
         }
 
-        // The engine's own transport endpoint: injects the query and,
-        // in fault mode, acks/retransmits on the links to and from the
-        // root node.
-        let mut t = Transport::new(
-            Endpoint::Engine,
-            self.fault_plan.clone(),
-            start,
-            Arc::clone(&net),
-            engine_tx.clone(),
-            mk_tracer(n),
-            window,
-            Arc::clone(&intra),
-        );
-        let to_root = Endpoint::Node(root);
-        t.send_logical(Msg {
-            from: Endpoint::Engine,
-            to: to_root,
-            payload: Payload::RelationRequest,
-        });
-        for b in requests {
-            t.send_logical(Msg {
-                from: Endpoint::Engine,
-                to: to_root,
-                payload: Payload::TupleRequest { binding: b },
-            });
+        // The engine's own port: injects the query and, in fault mode,
+        // acks/retransmits on the links to and from the root node.
+        let mut t = port(Endpoint::Engine, None);
+        for m in initial {
+            t.send_logical(m);
         }
-        t.send_logical(Msg {
-            from: Endpoint::Engine,
-            to: to_root,
-            payload: Payload::EndOfRequests,
-        });
 
         // Collect until the final End (or timeout / budget trip).
-        let deadline = start + self.timeout;
-        let mut answers = Relation::new(answer_arity);
-        let mut engine_ends: u64 = 0;
-        let mut post_end_answers: u64 = 0;
+        let deadline = start + timeout;
         let mut tripped: Option<Trip> = None;
         let mut result: Result<(), RuntimeError> = loop {
             let now = Instant::now();
             if now >= deadline {
-                break Err(self.timeout_error(start, &answers, &net));
+                break Err(RuntimeError::Timeout {
+                    budget_millis: timeout.as_millis() as u64,
+                    elapsed_millis: start.elapsed().as_millis() as u64,
+                    partial_answers: sink.answers.len(),
+                    pending: net.pending(),
+                    // Filled in after the shutdown drain.
+                    unjoined: Vec::new(),
+                });
             }
             governor.sample_arena();
-            if tripped.is_none() {
-                if let Some(tr) = governor.tripped() {
-                    // First trip: run one cancel drain wave. Nodes stop
-                    // deriving, forward the wave down the spanning tree,
-                    // and keep acking frames; the loop then waits for
-                    // the mailboxes to drain instead of for `End`.
-                    tripped = Some(tr);
-                    t.stats.cancel_waves += 1;
-                    for id in 0..n {
-                        t.send_logical(Msg {
-                            from: Endpoint::Engine,
-                            to: Endpoint::Node(id),
-                            payload: Payload::Cancel { wave: 1, epoch: 0 },
-                        });
-                    }
+            // First trip: run one cancel drain wave. Nodes stop deriving,
+            // forward the wave down the spanning tree, and keep acking
+            // frames; the loop then waits for the mailboxes to drain
+            // instead of for `End`.
+            if let Some(wave) = cancel_wave_on_trip(&mut tripped, &governor, n) {
+                t.d.stats.cancel_waves += 1;
+                for m in wave {
+                    t.send_logical(m);
                 }
             }
             let wait = if fault_mode || tripped.is_some() {
@@ -1325,55 +838,20 @@ impl ThreadRuntime {
             };
             match engine_rx.recv_timeout(wait) {
                 Ok(frame) => {
-                    let msgs: Vec<(Msg, Option<Stamp>)> = match frame {
+                    let msgs = match frame {
                         TMsg::Plain(m, s) => vec![(m, s)],
-                        TMsg::Data {
-                            seq,
-                            msg,
-                            corrupted,
-                            stamp,
-                        } => {
-                            if corrupted {
-                                Vec::new()
-                            } else {
-                                let from = msg.from;
-                                t.accept_data(from, seq, msg, stamp)
-                            }
-                        }
-                        TMsg::Ack { peer, upto } => {
-                            t.on_ack(peer, upto);
-                            Vec::new()
-                        }
+                        TMsg::Wire(frame) => t.on_frame(frame),
                         TMsg::Fatal(e) => break Err(e),
                     };
-                    let mut flow: Result<bool, RuntimeError> = Ok(false);
+                    let mut ended = Ok(false);
                     for (m, s) in msgs {
-                        if let Some(tr) = t.tracer.as_mut() {
-                            let (kind, items, wave, epoch) = describe_payload(&m.payload);
-                            tr.on_deliver(
-                                trace_actor(m.from, n),
-                                s.as_ref(),
-                                kind,
-                                items,
-                                wave,
-                                epoch,
-                            );
-                            if matches!(m.payload, Payload::End) {
-                                tr.on_end();
-                            }
-                        }
-                        flow = engine_accept(
-                            m,
-                            &mut answers,
-                            &mut engine_ends,
-                            &mut post_end_answers,
-                            answer_arity,
-                        );
-                        if !matches!(flow, Ok(false)) {
+                        t.d.note_deliver(&m, s.as_deref());
+                        ended = sink.accept(m);
+                        if !matches!(ended, Ok(false)) {
                             break;
                         }
                     }
-                    match flow {
+                    match ended {
                         Ok(true) => break Ok(()),
                         Err(e) => break Err(e),
                         Ok(false) => {}
@@ -1387,8 +865,7 @@ impl ThreadRuntime {
                 Err(RecvTimeoutError::Disconnected) => break Err(RuntimeError::NoTermination),
             }
             if fault_mode {
-                t.flush_delayed();
-                if let Err(e) = t.retransmit_due() {
+                if let Err(e) = t.maintain() {
                     break Err(e);
                 }
             }
@@ -1431,10 +908,10 @@ impl ThreadRuntime {
         // Fold the per-node and scheduler counters into the engine's.
         // `try_lock`: a detached worker may still hold one node's state;
         // its counters are lost, exactly as a stuck thread's were.
-        let mut stats = t.stats;
+        let mut stats = t.d.stats;
         for node in nodes.iter() {
             if let Ok(st) = node.try_lock() {
-                stats.merge(&st.t.stats);
+                stats.merge(&st.t.d.stats);
             }
         }
         net.merge_sched_stats(&mut stats);
@@ -1450,26 +927,18 @@ impl ThreadRuntime {
         // errors from the drain still win.
         if let Some(tr) = tripped {
             if matches!(result, Ok(()) | Err(RuntimeError::Timeout { .. })) {
-                let accounting: Vec<NodeUsage> = (0..n)
-                    .map(|id| {
-                        let processed = nodes[id]
-                            .try_lock()
-                            .map(|st| st.processed)
-                            .unwrap_or_default();
-                        let q = net.mailboxes[id].q.lock().unwrap();
-                        NodeUsage {
-                            node: id,
-                            shard: shard_of.get(id).copied().unwrap_or(0),
-                            messages_processed: processed,
-                            mailbox_depth: q.len(),
-                            mem_bytes: q.iter().map(frame_bytes).sum(),
-                        }
-                    })
-                    .collect();
+                let accounting = node_usage(&shard_of, n, |id| {
+                    let processed = nodes[id]
+                        .try_lock()
+                        .map(|st| st.processed)
+                        .unwrap_or_default();
+                    let q = net.mailboxes[id].q.lock().unwrap();
+                    (processed, q.len(), q.iter().map(frame_bytes).sum())
+                });
                 result = Err(budget_error(
                     tr,
                     &governor,
-                    answers.iter().cloned().collect(),
+                    sink.answers.iter().cloned().collect(),
                     accounting,
                     stats.cancel_waves,
                 ));
@@ -1477,24 +946,11 @@ impl ThreadRuntime {
         }
         let events = ring.map(|r| mp_trace::collect((n + 1) as u32, &r));
         result.map(|()| ThreadOutcome {
-            answers,
+            answers: sink.answers,
             stats,
             events,
-            engine_ends,
-            post_end_answers,
+            engine_ends: sink.ends,
+            post_end_answers: sink.post_end_answers,
         })
-    }
-
-    /// Build the diagnostic timeout error from abort-time state; the
-    /// `unjoined` list (worker ids) is filled in after the shutdown
-    /// drain.
-    fn timeout_error(&self, start: Instant, answers: &Relation, net: &PoolNet) -> RuntimeError {
-        RuntimeError::Timeout {
-            budget_millis: self.timeout.as_millis() as u64,
-            elapsed_millis: start.elapsed().as_millis() as u64,
-            partial_answers: answers.len(),
-            pending: net.pending(),
-            unjoined: Vec::new(),
-        }
     }
 }

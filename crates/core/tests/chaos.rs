@@ -13,7 +13,7 @@
 
 use mp_datalog::parser::parse_program;
 use mp_datalog::Database;
-use mp_engine::{Engine, FaultPlan, QueryResult, RuntimeKind, Schedule};
+use mp_engine::{Engine, FaultPlan, QueryBudget, QueryResult, RuntimeKind, Schedule};
 use mp_storage::{tuple, Tuple};
 use proptest::prelude::*;
 use std::time::Duration;
@@ -342,7 +342,7 @@ fn threaded_runtime_survives_chaos() {
             };
             let r = engine_for(w)
                 .with_runtime(RuntimeKind::Threads)
-                .with_timeout(Duration::from_secs(30))
+                .with_budget(QueryBudget::new().with_deadline(Duration::from_secs(30)))
                 .with_fault_plan(plan)
                 .evaluate()
                 .unwrap_or_else(|e| panic!("{} seed {seed}: {e}", w.name));
@@ -365,7 +365,7 @@ fn threaded_runtime_recovers_from_crashes() {
         .with_crash(node, 2);
         let r = engine_for(w)
             .with_runtime(RuntimeKind::Threads)
-            .with_timeout(Duration::from_secs(30))
+            .with_budget(QueryBudget::new().with_deadline(Duration::from_secs(30)))
             .with_fault_plan(plan)
             .evaluate()
             .unwrap();
@@ -381,7 +381,7 @@ fn threaded_crash_without_recovery_aborts_promptly() {
     let started = std::time::Instant::now();
     let r = engine_for(w)
         .with_runtime(RuntimeKind::Threads)
-        .with_timeout(Duration::from_secs(30))
+        .with_budget(QueryBudget::new().with_deadline(Duration::from_secs(30)))
         .with_fault_plan(
             FaultPlan {
                 retransmit_after: 20,

@@ -2,7 +2,7 @@
 
 use mp_datalog::parser::parse_program;
 use mp_datalog::Database;
-use mp_engine::{evaluate_str, Engine, EngineError};
+use mp_engine::{evaluate_str, Engine, EngineError, QueryBudget};
 use mp_storage::{tuple, Tuple};
 
 #[test]
@@ -194,7 +194,7 @@ fn divergence_guard_reports_steps() {
         db.insert("e", tuple![i % 10, (i + 1) % 10]).unwrap();
     }
     let err = Engine::new(program, db)
-        .with_max_steps(10)
+        .with_budget(QueryBudget::new().with_max_steps(10))
         .evaluate()
         .unwrap_err();
     match err {

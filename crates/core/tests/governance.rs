@@ -12,9 +12,9 @@
 //! 3. with a mailbox bound, credit windows on the recovery transport
 //!    cap queue depth under adversarial fan-in without deadlocking
 //!    recursive components (intra-SCC links are never windowed);
-//! 4. an unlimited budget is observably free: the legacy
-//!    `with_max_steps`/`with_timeout` shims keep their historical
-//!    errors, and governed clean-path runs stay bit-identical.
+//! 4. an unlimited budget is observably free: the step guard and the
+//!    deadline keep their historical errors, and governed clean-path
+//!    runs stay bit-identical.
 
 use mp_datalog::parser::parse_program;
 use mp_datalog::Database;
@@ -54,14 +54,11 @@ fn runtime_err(e: EngineError) -> RuntimeError {
     }
 }
 
-/// The shims forward into the budget: `with_max_steps` still raises
-/// `Diverged`, `with_timeout` still raises `Timeout`, on both runtimes.
+/// The budget's step guard still raises `Diverged` and its deadline
+/// still raises `Timeout`, as the retired `with_max_steps`/`with_timeout`
+/// engine shims did.
 #[test]
 fn legacy_shims_keep_their_historical_errors() {
-    let err = runtime_err(tc_dense(8).with_max_steps(5).evaluate().unwrap_err());
-    assert!(matches!(err, RuntimeError::Diverged { .. }), "{err}");
-
-    // Same through the explicit budget API.
     let err = runtime_err(
         tc_dense(8)
             .with_budget(QueryBudget::new().with_max_steps(5))
@@ -74,7 +71,7 @@ fn legacy_shims_keep_their_historical_errors() {
     let err = runtime_err(
         tc_dense(8)
             .with_runtime(RuntimeKind::Threads)
-            .with_timeout(Duration::from_nanos(1))
+            .with_budget(QueryBudget::new().with_deadline(Duration::from_nanos(1)))
             .evaluate()
             .unwrap_err(),
     );

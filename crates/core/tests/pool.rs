@@ -13,7 +13,7 @@
 
 use mp_datalog::parser::parse_program;
 use mp_datalog::Database;
-use mp_engine::{Engine, FaultPlan, QueryResult, RuntimeKind, Schedule, Stats};
+use mp_engine::{Engine, FaultPlan, QueryBudget, QueryResult, RuntimeKind, Schedule, Stats};
 use mp_storage::{tuple, Tuple};
 use proptest::prelude::*;
 use std::time::Duration;
@@ -76,7 +76,7 @@ fn engine_for(w: &Workload) -> Engine {
     for &(p, a, b) in w.edges {
         db.insert(p, tuple![a, b]).unwrap();
     }
-    Engine::new(program, db).with_timeout(Duration::from_secs(30))
+    Engine::new(program, db).with_budget(QueryBudget::new().with_deadline(Duration::from_secs(30)))
 }
 
 fn rows(r: &QueryResult) -> Vec<Tuple> {

@@ -12,7 +12,7 @@
 
 use mp_datalog::parser::parse_program;
 use mp_datalog::Database;
-use mp_engine::{Engine, FaultPlan, QueryResult, RuntimeKind, Schedule};
+use mp_engine::{Engine, FaultPlan, QueryBudget, QueryResult, RuntimeKind, Schedule};
 use mp_storage::tuple;
 use mp_trace::{check, logical_counts, EventKind, Trace};
 use std::time::Duration;
@@ -180,7 +180,7 @@ fn threaded_traces_check_clean() {
     for w in CANONICAL {
         let r = engine_for(w)
             .with_runtime(RuntimeKind::Threads)
-            .with_timeout(Duration::from_secs(30))
+            .with_budget(QueryBudget::new().with_deadline(Duration::from_secs(30)))
             .evaluate()
             .unwrap_or_else(|e| panic!("{}: {e}", w.name));
         assert_clean(w.name, "threads clean", &r);
@@ -189,7 +189,7 @@ fn threaded_traces_check_clean() {
         for seed in 0..4u64 {
             let r = engine_for(w)
                 .with_runtime(RuntimeKind::Threads)
-                .with_timeout(Duration::from_secs(30))
+                .with_budget(QueryBudget::new().with_deadline(Duration::from_secs(30)))
                 .with_fault_plan(chaos_plan(seed))
                 .evaluate()
                 .unwrap_or_else(|e| panic!("{} seed {seed}: {e}", w.name));
@@ -302,7 +302,7 @@ fn threaded_chaos_run_replays_in_simulator() {
         for seed in [1u64, 3] {
             let recorded = engine_for(w)
                 .with_runtime(RuntimeKind::Threads)
-                .with_timeout(Duration::from_secs(30))
+                .with_budget(QueryBudget::new().with_deadline(Duration::from_secs(30)))
                 .with_fault_plan(chaos_plan(seed))
                 .evaluate()
                 .unwrap_or_else(|e| panic!("{} seed {seed}: {e}", w.name));
@@ -397,7 +397,7 @@ fn trace_logical_counts_match_stats() {
     }
     let r = engine_for(w)
         .with_runtime(RuntimeKind::Threads)
-        .with_timeout(Duration::from_secs(30))
+        .with_budget(QueryBudget::new().with_deadline(Duration::from_secs(30)))
         .evaluate()
         .unwrap();
     let events = assert_clean(w.name, "threads", &r);
