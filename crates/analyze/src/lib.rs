@@ -32,7 +32,7 @@ pub mod plan;
 pub mod sorts;
 pub mod stratify;
 
-use mp_datalog::{Database, DbStats, Program, SourceMap};
+use mp_datalog::{Database, Program, SourceMap};
 use mp_lint::{Code, Diagnostic};
 use mp_rulegoal::{Node, RuleGoalGraph};
 use sorts::EmptyReason;
@@ -329,7 +329,6 @@ pub fn analyze(
     opts: &AnalyzeOptions,
 ) -> Analysis {
     let sort_fix = SortAnalysis::infer(program, db, opts.widen_cap);
-    let stats = DbStats::of(db);
     // Stratum inference. Unstratifiable programs are denied before graph
     // construction (Engine::compile, mp-analyze), so reaching this point
     // normally means no MP009/MP010; the diagnostics are merged anyway so
@@ -401,7 +400,7 @@ pub fn analyze(
 
     // Annotations over the full (unpruned) graph, so reports can show
     // what was cut and why.
-    let nodes = plan::annotate(graph, db, &stats, &sort_fix, &dead, &keep, &strata);
+    let nodes = plan::annotate(graph, db, &sort_fix, &dead, &keep, &strata);
     for a in &nodes {
         if a.pruned {
             continue;

@@ -2,8 +2,9 @@
 //! estimates and SIP-key partition inference.
 //!
 //! Cardinality runs a bounded fixpoint over the rule/goal graph using the
-//! EDB statistics (`DbStats` row/distinct counts) and the inferred column
-//! sorts as domain caps: EDB leaves count their filtered rows exactly,
+//! EDB's catalogue (row counts, per-column distinct counts, shared
+//! indexes) and the inferred column sorts as domain caps: EDB leaves
+//! count their filtered rows exactly,
 //! rule nodes take a System-R style equijoin estimate over their subgoal
 //! relations, goal nodes sum their rules. Estimates are heuristics — they
 //! steer batch sizing and hot-link warnings, never correctness.
@@ -27,7 +28,7 @@
 //!   means free choice: hash on the whole transmitted tuple.
 
 use crate::sorts::SortAnalysis;
-use mp_datalog::{Database, DbStats, Predicate, Term, Var};
+use mp_datalog::{Database, Predicate, Term, Var};
 use mp_rulegoal::sip::bound_head_vars;
 use mp_rulegoal::{ArcKind, ArgClass, GoalKind, LabelArg, Node, NodeId, RuleGoalGraph};
 use std::collections::BTreeSet;
@@ -128,61 +129,41 @@ impl NodeAnnotation {
 
 /// Width of one (predicate, column) domain: exact sort size when known,
 /// else the EDB distinct count, else "unknown but large".
-fn col_width(sorts: &SortAnalysis, stats: &DbStats, pred: &Predicate, col: usize) -> f64 {
+fn col_width(sorts: &SortAnalysis, db: &Database, pred: &Predicate, col: usize) -> f64 {
     if let Some(cols) = sorts.of(pred) {
         if let Some(sz) = cols.get(col).and_then(crate::sorts::SortSet::size) {
             return (sz as f64).max(1.0);
         }
     }
-    if let Some(rs) = stats.relation(pred) {
-        if let Some(&d) = rs.distinct.get(col) {
-            return (d as f64).max(1.0);
-        }
+    if let Some(summary) = db.relation(pred).and_then(|rel| rel.summary().get(col)) {
+        return (summary.distinct() as f64).max(1.0);
     }
     UNKNOWN_WIDTH
 }
 
 /// Exact row count of an EDB leaf after applying the label's constants
 /// and repeated-variable equalities (the node's standing selection).
-fn edb_filtered_rows(db: &Database, atom: &mp_datalog::Atom) -> f64 {
-    let Some(rel) = db.relation(&atom.pred) else {
+fn edb_filtered_rows(db: &Database, label: &mp_rulegoal::GoalLabel) -> f64 {
+    let Some(rel) = db.relation(&label.pred) else {
         return 0.0;
     };
-    let n = rel
-        .iter()
-        .filter(|t| {
-            let mut bound: Vec<(&Var, mp_storage::Value)> = Vec::new();
-            for (i, term) in atom.terms.iter().enumerate() {
-                match term {
-                    Term::Const(v) => {
-                        if t[i] != *v {
-                            return false;
-                        }
-                    }
-                    Term::Var(v) => match bound.iter().find(|(w, _)| *w == v) {
-                        Some((_, prev)) => {
-                            if t[i] != *prev {
-                                return false;
-                            }
-                        }
-                        None => bound.push((v, t[i])),
-                    },
-                }
-            }
-            true
-        })
-        .count();
-    n as f64
+    let sel = label.selection();
+    if sel.is_empty() {
+        return rel.len() as f64;
+    }
+    // A label wider than its relation is denied by MP002 before analysis
+    // runs; it selects nothing.
+    rel.select_ids(&sel).map_or(0.0, |ids| ids.len() as f64)
 }
 
 /// Domain cap for a goal-label node: the product of its variable
 /// transmitted columns' widths (constants contribute 1).
-fn domain_cap(sorts: &SortAnalysis, stats: &DbStats, label: &mp_rulegoal::GoalLabel) -> f64 {
+fn domain_cap(sorts: &SortAnalysis, db: &Database, label: &mp_rulegoal::GoalLabel) -> f64 {
     let adorn = label.adornment();
     let mut cap = 1.0f64;
     for &p in &adorn.transmitted_positions() {
         if matches!(label.args[p], LabelArg::Var { .. }) {
-            cap = (cap * col_width(sorts, stats, &label.pred, p)).min(CARD_CEILING);
+            cap = (cap * col_width(sorts, db, &label.pred, p)).min(CARD_CEILING);
         }
     }
     cap
@@ -209,7 +190,6 @@ fn rule_stages(graph: &RuleGoalGraph, rule_id: NodeId) -> Vec<(NodeId, usize)> {
 pub fn estimate_cards(
     graph: &RuleGoalGraph,
     db: &Database,
-    stats: &DbStats,
     sorts: &SortAnalysis,
     dead: &[bool],
 ) -> Vec<f64> {
@@ -218,14 +198,14 @@ pub fn estimate_cards(
     let mut caps = vec![CARD_CEILING; n];
     for (id, node) in graph.nodes() {
         match node {
-            Node::Goal { atom, kind, label } => {
+            Node::Goal { kind, label, .. } => {
                 if *kind == GoalKind::Edb {
-                    base[id] = edb_filtered_rows(db, atom);
+                    base[id] = edb_filtered_rows(db, label);
                 }
-                caps[id] = domain_cap(sorts, stats, label);
+                caps[id] = domain_cap(sorts, db, label);
             }
             Node::Rule { head_label, .. } => {
-                caps[id] = domain_cap(sorts, stats, head_label);
+                caps[id] = domain_cap(sorts, db, head_label);
             }
         }
     }
@@ -260,7 +240,7 @@ pub fn estimate_cards(
                         for (i, term) in atom.terms.iter().enumerate() {
                             if let Term::Var(v) = term {
                                 if !seen.insert(v) {
-                                    est /= col_width(sorts, stats, &atom.pred, i).max(1.0);
+                                    est /= col_width(sorts, db, &atom.pred, i).max(1.0);
                                 }
                             }
                         }
@@ -579,13 +559,12 @@ pub fn kind_str(node: &Node) -> &'static str {
 pub fn annotate(
     graph: &RuleGoalGraph,
     db: &Database,
-    stats: &DbStats,
     sorts: &SortAnalysis,
     dead: &[bool],
     keep: &[bool],
     strata: &crate::stratify::StratumPlan,
 ) -> Vec<NodeAnnotation> {
-    let card = estimate_cards(graph, db, stats, sorts, dead);
+    let card = estimate_cards(graph, db, sorts, dead);
     let partitions = partition_keys(graph);
     graph
         .nodes()

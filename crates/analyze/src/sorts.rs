@@ -69,6 +69,20 @@ impl SortSet {
         }
     }
 
+    /// The sort of an EDB column: its exact value set while that fits
+    /// the widening cap, else its type bits — what joining the column's
+    /// values one at a time with [`SortSet::union_with`] arrives at.
+    fn seed(col: &mp_storage::ColumnSummary, cap: usize) -> SortSet {
+        if col.distinct() > cap {
+            SortSet::Top {
+                ints: col.has_ints(),
+                syms: col.has_syms(),
+            }
+        } else {
+            SortSet::Values(col.values.iter().copied().collect())
+        }
+    }
+
     /// True when no value can inhabit this sort.
     pub fn is_empty(&self) -> bool {
         match self {
@@ -210,12 +224,11 @@ impl SortAnalysis {
     pub fn infer(program: &Program, db: &Database, cap: usize) -> SortAnalysis {
         let mut sorts: BTreeMap<Predicate, Vec<SortSet>> = BTreeMap::new();
         for (pred, rel) in db.iter() {
-            let mut cols = vec![SortSet::empty(); rel.arity()];
-            for t in rel.iter() {
-                for (c, slot) in cols.iter_mut().enumerate() {
-                    slot.union_with(&SortSet::Values(BTreeSet::from([t[c]])), cap);
-                }
-            }
+            let cols = rel
+                .summary()
+                .iter()
+                .map(|col| SortSet::seed(col, cap))
+                .collect();
             sorts.insert(pred.clone(), cols);
         }
         loop {
@@ -449,6 +462,43 @@ mod tests {
         assert!(matches!(edge[0], SortSet::Top { ints: true, .. }));
         assert!(edge[0].contains(&Value::int(999)), "Top admits by type");
         assert!(!edge[0].contains(&Value::str("zzz")));
+    }
+
+    #[test]
+    fn seeds_equal_the_per_row_join() {
+        // Reference: join every fact's value into the column sort one at
+        // a time, the way the fixpoint treats derived values.
+        fn per_row(rel: &mp_storage::Relation, cap: usize) -> Vec<SortSet> {
+            let mut cols = vec![SortSet::empty(); rel.arity()];
+            for t in rel.iter() {
+                for (c, slot) in cols.iter_mut().enumerate() {
+                    slot.union_with(&SortSet::Values(BTreeSet::from([t[c]])), cap);
+                }
+            }
+            cols
+        }
+        let program = parse_program("p(X) :- one(X). ?- p(X).").unwrap();
+        let mut db = Database::new();
+        db.declare("none", 2).unwrap();
+        db.declare("unit", 0).unwrap();
+        db.insert("unit", mp_storage::Tuple::unit()).unwrap();
+        db.insert("one", tuple![7]).unwrap();
+        for i in 0..6i64 {
+            db.insert("ints", tuple![i % 3, i]).unwrap();
+            db.insert("syms", tuple![format!("s{i}"), "k"]).unwrap();
+            db.insert("mixed", tuple![i, i % 2, "z"]).unwrap();
+        }
+        db.insert("mixed", tuple!["a", 1, "z"]).unwrap();
+        for cap in [0, 1, 4, 256] {
+            let sa = SortAnalysis::infer(&program, &db, cap);
+            for (pred, rel) in db.iter() {
+                assert_eq!(
+                    sa.of(pred).unwrap(),
+                    &per_row(rel, cap),
+                    "{pred} at cap {cap}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! evaluator used by every bottom-up baseline.
 
 use mp_datalog::{Atom, Database, Predicate, Program, Rule, Term, Var};
-use mp_storage::{IndexedRelation, Relation, Tuple, Value};
+use mp_storage::{Relation, Tuple, Value};
 use std::collections::{BTreeMap, HashMap};
 
 /// Work counters comparable across evaluators (and loosely with the
@@ -24,7 +24,7 @@ pub struct EvalStats {
 /// A store of named relations (EDB + IDB + auxiliary).
 #[derive(Clone, Debug, Default)]
 pub struct RelStore {
-    rels: BTreeMap<Predicate, IndexedRelation>,
+    rels: BTreeMap<Predicate, Relation>,
 }
 
 impl RelStore {
@@ -32,7 +32,7 @@ impl RelStore {
     pub fn from_database(db: &Database) -> RelStore {
         let mut store = RelStore::default();
         for (p, r) in db.iter() {
-            let mut ir = IndexedRelation::new(r.arity());
+            let mut ir = Relation::new(r.arity());
             for t in r.iter() {
                 ir.insert(t.clone()).expect("EDB arity");
             }
@@ -45,11 +45,11 @@ impl RelStore {
     pub fn declare(&mut self, pred: &Predicate, arity: usize) {
         self.rels
             .entry(pred.clone())
-            .or_insert_with(|| IndexedRelation::new(arity));
+            .or_insert_with(|| Relation::new(arity));
     }
 
     /// The relation for a predicate (empty 0-ary placeholder if absent).
-    pub fn get(&self, pred: &Predicate) -> Option<&IndexedRelation> {
+    pub fn get(&self, pred: &Predicate) -> Option<&Relation> {
         self.rels.get(pred)
     }
 
@@ -58,7 +58,7 @@ impl RelStore {
         let rel = self
             .rels
             .entry(pred.clone())
-            .or_insert_with(|| IndexedRelation::new(t.arity()));
+            .or_insert_with(|| Relation::new(t.arity()));
         rel.insert(t).expect("arity consistent within a program")
     }
 

@@ -278,7 +278,7 @@ impl Evaluator for TopDown {
         };
         // Prepare EDB indexes on every column set the rules can bind —
         // conservative: single full scan fallback is acceptable for the
-        // baseline; hot sets get built lazily by IndexedRelation::lookup's
+        // baseline; hot sets get built lazily by Relation::lookup's
         // scan path. (Indexes prepared for left-to-right bound columns.)
         crate::common::prepare_rule_indexes(&mut solver.store, &program.rules);
 

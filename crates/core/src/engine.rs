@@ -148,6 +148,13 @@ pub struct QueryResult {
 /// let result = Engine::new(program, db).evaluate().unwrap();
 /// assert_eq!(result.answers.sorted_rows(), vec![tuple![2], tuple![3]]);
 /// ```
+///
+/// An engine owns a snapshot of the database it was given, and
+/// `Database::clone` is O(relations): to query one loaded database many
+/// times, build each engine from `db.clone()`. The clones share the rows
+/// and the column statistics and leaf indexes computed by the first
+/// query; a later write to the caller's database copies only the relation
+/// it touches and leaves every engine's snapshot as it was.
 #[derive(Clone, Debug)]
 pub struct Engine {
     program: Program,
@@ -613,9 +620,7 @@ impl Engine {
                 let (stats, tuples) =
                     self.materialize_aggregate(r, &working_db, started, &spent)?;
                 spent.merge(&stats);
-                for t in tuples {
-                    working_db.insert(r.head.pred.clone(), t)?;
-                }
+                working_db.insert_all(r.head.pred.clone(), tuples)?;
             }
 
             // The stratum's ordinary rules (aggregate rules became EDB
@@ -686,9 +691,7 @@ impl Engine {
                 sealed.push((pred, out.answers.iter().cloned().collect()));
             }
             for (pred, tuples) in sealed {
-                for t in tuples {
-                    working_db.insert(pred.clone(), t)?;
-                }
+                working_db.insert_all(pred, tuples)?;
             }
         }
         unreachable!("the final stratum returns above");

@@ -8,9 +8,10 @@
 use crate::msg::Endpoint;
 use crate::termination::TermState;
 use mp_datalog::{Database, Term, Var};
-use mp_rulegoal::{GoalKind, LabelArg, Node, NodeId, RuleGoalGraph};
-use mp_storage::{FastMap, FastSet, IndexedRelation, KeyIndex, Relation, Tuple, Value};
+use mp_rulegoal::{GoalKind, Node, NodeId, RuleGoalGraph};
+use mp_storage::{FastMap, FastSet, KeyIndex, Relation, Tuple, Value};
 use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
 /// A customer arc's static configuration plus per-stream state.
 #[derive(Clone, Debug)]
@@ -67,14 +68,17 @@ pub struct GoalCfg {
     pub transmitted_len: usize,
 }
 
-/// Static configuration of an EDB leaf.
+/// Static configuration of an EDB leaf. Both the rows and the index are
+/// immutable shared snapshots: an unconstrained leaf holds the database's
+/// own relation and its memoised index, so compiling it copies nothing,
+/// and a request probes through the two `Arc`s without taking a lock.
 #[derive(Clone, Debug)]
 pub struct EdbCfg {
     /// The base relation, pre-filtered by the label's constants and
     /// repeated-variable equalities, with full arity.
-    pub filtered: Relation,
+    pub filtered: Arc<Relation>,
     /// Hash index of `filtered` on the label's `d` positions.
-    pub index: KeyIndex,
+    pub index: Arc<KeyIndex>,
     /// Transmitted (non-`e`) positions, full-arity space.
     pub transmitted: Vec<usize>,
 }
@@ -181,10 +185,10 @@ pub struct RuleCfg {
 pub struct RuleState {
     /// `stage_bindings[l]` = accumulated bindings after stage `l`
     /// (0 = head seeds), indexed for the next stage's join.
-    pub stage_bindings: Vec<IndexedRelation>,
+    pub stage_bindings: Vec<Relation>,
     /// Stored subgoal answers per stage (§3.1's temporary relations),
     /// indexed on the join key.
-    pub ans_store: Vec<IndexedRelation>,
+    pub ans_store: Vec<Relation>,
     /// Requests already sent per stage.
     pub requested: Vec<FastSet<Tuple>>,
     /// `stage_closed[l]`: no more stage-`l` bindings will be derived
@@ -197,7 +201,7 @@ pub struct RuleState {
 pub struct GoalState {
     /// The node's answer relation (transmitted schema), indexed on the
     /// `d` columns.
-    pub answers: IndexedRelation,
+    pub answers: Relation,
     /// Globally seen bindings (deduplicates forwarding to rule children).
     pub bindings: FastSet<Tuple>,
     /// binding → customer indices subscribed to it.
@@ -538,7 +542,7 @@ impl Network {
                             let d_in_transmitted = d_in_transmitted(label);
                             let transmitted_len = label.adornment().transmitted_positions().len();
                             let mut st = GoalState {
-                                answers: IndexedRelation::new(transmitted_len),
+                                answers: Relation::new(transmitted_len),
                                 ..GoalState::default()
                             };
                             let cfg = GoalCfg {
@@ -670,8 +674,8 @@ fn shard_edb(template: &EdbCfg, label: &mp_rulegoal::GoalLabel, s: usize, k: usi
     }
     let index = KeyIndex::build(&filtered, &d_positions).expect("d positions in range");
     EdbCfg {
-        filtered,
-        index,
+        filtered: Arc::new(filtered),
+        index: Arc::new(index),
         transmitted: template.transmitted.clone(),
     }
 }
@@ -679,43 +683,27 @@ fn shard_edb(template: &EdbCfg, label: &mp_rulegoal::GoalLabel, s: usize, k: usi
 /// Pre-filter and index an EDB relation for a leaf's label.
 fn compile_edb(label: &mp_rulegoal::GoalLabel, db: &Database) -> EdbCfg {
     let ad = label.adornment();
-    let empty = Relation::new(label.arity());
-    let base: &Relation = db.relation(&label.pred).unwrap_or(&empty);
-
-    // Constant checks and repeated-variable groups from the label.
-    let mut const_checks: Vec<(usize, Value)> = Vec::new();
-    let mut group_positions: HashMap<u16, Vec<usize>> = HashMap::new();
-    for (i, arg) in label.args.iter().enumerate() {
-        match arg {
-            LabelArg::Const(v) => const_checks.push((i, *v)),
-            LabelArg::Var { group, .. } => group_positions.entry(*group).or_default().push(i),
-        }
-    }
-    let eq_groups: Vec<Vec<usize>> = group_positions
-        .into_values()
-        .filter(|g| g.len() > 1)
-        .collect();
-
-    // An unconstrained label keeps the whole relation: clone it (dedup
-    // structure and all) instead of re-hashing every row. Labels with
-    // constants or repeated variables re-insert the surviving subset.
-    let filtered = if const_checks.is_empty() && eq_groups.is_empty() {
-        base.clone()
-    } else {
-        let mut filtered = Relation::new(base.arity());
-        for t in base.iter() {
-            let consts_ok = const_checks.iter().all(|(i, v)| &t[*i] == v);
-            let eq_ok = eq_groups.iter().all(|g| g.iter().all(|&p| t[p] == t[g[0]]));
-            if consts_ok && eq_ok {
-                filtered
-                    .insert(t.clone())
-                    .expect("same arity as the base relation");
-            }
-        }
-        filtered
+    let base = match db.shared_relation(&label.pred) {
+        Some(rel) => Arc::clone(rel),
+        None => Arc::new(Relation::new(label.arity())),
     };
-    let d_positions = ad.d_positions();
-    let index = KeyIndex::build(&filtered, &d_positions).expect("d positions in range");
+
+    // An unconstrained label reads the database's own snapshot. A label
+    // with constants or repeated variables selects its (small) subset
+    // through the base relation's index on the constant columns.
+    let sel = label.selection();
+    let filtered = if sel.is_empty() {
+        base
+    } else {
+        let ids = base
+            .select_ids(&sel)
+            .expect("label positions lie within the relation's arity");
+        let rows = ids.into_iter().map(|id| base.rows()[id as usize].clone());
+        Arc::new(Relation::from_tuples(base.arity(), rows).expect("rows of the base relation"))
+    };
+    let index = filtered
+        .shared_index(&ad.d_positions())
+        .expect("d positions in range");
     EdbCfg {
         filtered,
         index,
@@ -916,13 +904,13 @@ fn compile_rule(
 
     // Mutable state with indexes prepared.
     let mut stage_bindings = Vec::with_capacity(k + 1);
-    let mut first = IndexedRelation::new(stage0_schema.len());
+    let mut first = Relation::new(stage0_schema.len());
     if let Some(s) = stages.first() {
         first.ensure_index(&s.join_prev_cols).expect("in range");
     }
     stage_bindings.push(first);
     for (i, s) in stages.iter().enumerate() {
-        let mut rel = IndexedRelation::new(s.schema.len());
+        let mut rel = Relation::new(s.schema.len());
         if let Some(next) = stages.get(i + 1) {
             rel.ensure_index(&next.join_prev_cols).expect("in range");
         }
@@ -931,7 +919,7 @@ fn compile_rule(
     let ans_store = stages
         .iter()
         .map(|s| {
-            let mut rel = IndexedRelation::new(s.answer_arity);
+            let mut rel = Relation::new(s.answer_arity);
             rel.ensure_index(&s.join_answer_cols).expect("in range");
             rel
         })
@@ -955,4 +943,67 @@ fn compile_rule(
         },
         st,
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mp_datalog::parser::parse_program;
+    use mp_rulegoal::SipKind;
+    use mp_storage::tuple;
+
+    /// Every EDB leaf of the compiled network.
+    fn leaves(net: &Network) -> Vec<&EdbCfg> {
+        net.processes
+            .iter()
+            .filter_map(|p| match &p.behavior {
+                Behavior::Edb { cfg } => Some(cfg),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn leaves_share_the_databases_rows_and_indexes() {
+        let program = parse_program(
+            "path(X, Y) :- edge(X, Y).
+             path(X, Z) :- edge(X, Y), path(Y, Z).
+             ?- path(1, Z).",
+        )
+        .unwrap();
+        let mut db = Database::new();
+        for (a, b) in [(1, 2), (2, 3), (3, 1), (4, 5)] {
+            db.insert("edge", tuple![a, b]).unwrap();
+        }
+        let edge = db.shared_relation(&"edge".into()).unwrap();
+        let graph = RuleGoalGraph::build(&program, &db, SipKind::Greedy).unwrap();
+
+        let first = Network::compile(&graph, &db.clone());
+        let second = Network::compile(&graph, &db.clone());
+        let (first, second) = (leaves(&first), leaves(&second));
+        assert!(!first.is_empty() && first.len() == second.len());
+        let mut unconstrained = 0;
+        for (a, b) in first.iter().zip(&second) {
+            if Arc::ptr_eq(&a.filtered, edge) {
+                // No constant, no repeated variable: the leaf reads the
+                // database's own snapshot, and a later compile on another
+                // clone is handed the very same index.
+                unconstrained += 1;
+                assert!(Arc::ptr_eq(&b.filtered, edge));
+                assert!(Arc::ptr_eq(&a.index, &b.index));
+            } else {
+                // `edge(1, Y)`: the selected subset, probed out of the
+                // base relation's memoised constant-column index.
+                assert_eq!(a.filtered.rows(), &[tuple![1, 2]]);
+                assert_eq!(b.filtered.rows(), a.filtered.rows());
+            }
+        }
+        assert!(unconstrained > 0 && unconstrained < first.len());
+
+        // A write to the caller's database leaves compiled leaves alone.
+        let widest = |ls: &[&EdbCfg]| ls.iter().map(|l| l.filtered.len()).max();
+        db.insert("edge", tuple![1, 9]).unwrap();
+        assert_eq!(widest(&first), Some(4));
+        assert_eq!(widest(&leaves(&Network::compile(&graph, &db))), Some(5));
+    }
 }

@@ -24,7 +24,6 @@
 pub mod analysis;
 mod ast;
 mod database;
-mod dbstats;
 pub mod parser;
 mod program;
 mod span;
@@ -32,7 +31,6 @@ pub mod unify;
 
 pub use ast::{AggFunc, AggSpec, Atom, Predicate, Rule, Term, Var};
 pub use database::Database;
-pub use dbstats::{DbStats, RelationStats};
 pub use program::Program;
 pub use span::{SourceMap, Span};
 

@@ -1,7 +1,7 @@
 //! Argument classes, adornments, and canonical goal-node labels.
 
 use mp_datalog::{Atom, Predicate, Term, Var};
-use mp_storage::Value;
+use mp_storage::{Selection, Value};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -205,6 +205,25 @@ impl GoalLabel {
         self.args.len()
     }
 
+    /// The label's standing selection on its relation: its constant
+    /// arguments and its repeated variables.
+    pub fn selection(&self) -> Selection {
+        let mut sel = Selection::default();
+        // Groups are numbered by first occurrence, so a group's first
+        // column is pushed exactly when its number equals the length.
+        let mut first_at: Vec<usize> = Vec::new();
+        for (i, arg) in self.args.iter().enumerate() {
+            match arg {
+                LabelArg::Const(v) => sel.consts.push((i, *v)),
+                LabelArg::Var { group, .. } => match first_at.get(usize::from(*group)) {
+                    Some(&first) => sel.eqs.push((first, i)),
+                    None => first_at.push(i),
+                },
+            }
+        }
+        sel
+    }
+
     /// The adornment (classes only) of this label.
     pub fn adornment(&self) -> Adornment {
         Adornment(
@@ -268,6 +287,24 @@ mod tests {
         assert_eq!(a.transmitted_positions(), vec![0, 1, 3]);
         assert_eq!(a.bound_count(), 2);
         assert_eq!(a.as_string(), "cdef");
+    }
+
+    #[test]
+    fn selection_lists_constants_and_repeated_variables() {
+        let plain = GoalLabel::new(&atom!("p"; var "X", var "Y"), &ad("df"));
+        assert!(plain.selection().is_empty());
+        // p(X, 7, Y, X, Y, X): one constant, X at 0/3/5, Y at 2/4.
+        let l = GoalLabel::new(
+            &atom!("p"; var "X", val 7, var "Y", var "X", var "Y", var "X"),
+            &ad("dcfdfd"),
+        );
+        assert_eq!(
+            l.selection(),
+            Selection {
+                consts: vec![(1, Value::int(7))],
+                eqs: vec![(0, 3), (2, 4), (0, 5)],
+            }
+        );
     }
 
     #[test]

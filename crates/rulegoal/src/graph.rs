@@ -150,7 +150,6 @@ struct Builder<'a> {
     program: &'a Program,
     db: &'a Database,
     sip: SipKind,
-    stats: Option<mp_datalog::DbStats>,
     nodes: Vec<Node>,
     out_arcs: Vec<Vec<(NodeId, ArcKind)>>,
     in_arcs: Vec<Vec<(NodeId, ArcKind)>>,
@@ -207,12 +206,8 @@ impl<'a> Builder<'a> {
                 continue; // constant clash: this rule cannot serve the goal
             };
             let instance = sigma.apply_rule(&fresh);
-            let plan = crate::sip::plan_with_stats(
-                &instance,
-                &head_adornment,
-                self.sip,
-                self.stats.as_ref(),
-            );
+            let plan =
+                crate::sip::plan_with_stats(&instance, &head_adornment, self.sip, Some(self.db));
             let rule_id = self.add_node(Node::Rule {
                 rule: instance.clone(),
                 source_index,
@@ -287,16 +282,10 @@ impl RuleGoalGraph {
             .head
             .arity();
 
-        let stats = if sip == SipKind::CostBased {
-            Some(mp_datalog::DbStats::of(db))
-        } else {
-            None
-        };
         let mut b = Builder {
             program,
             db,
             sip,
-            stats,
             nodes: Vec::new(),
             out_arcs: Vec::new(),
             in_arcs: Vec::new(),

@@ -12,7 +12,7 @@
 //! nowhere else is labelled `e`.
 
 use crate::{Adornment, ArgClass};
-use mp_datalog::{DbStats, Rule, Term, Var};
+use mp_datalog::{Database, Rule, Term, Var};
 use mp_hypergraph::{monotone_flow, MonotoneFlow};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -34,9 +34,10 @@ pub enum SipKind {
     /// back to [`SipKind::Greedy`] when the rule lacks monotone flow.
     QualTree,
     /// §1.2's optimization-information extension: order subgoals by
-    /// estimated retrieved size using EDB statistics ([`DbStats`]) under
-    /// the uniformity assumption; falls back to [`SipKind::Greedy`] when
-    /// no statistics are supplied.
+    /// estimated retrieved size using the EDB's column statistics
+    /// ([`mp_storage::Relation::summary`]) under the uniformity
+    /// assumption; falls back to [`SipKind::Greedy`] when no database is
+    /// supplied.
     CostBased,
 }
 
@@ -126,17 +127,18 @@ fn transmitted_head_vars(rule: &Rule, head_adornment: &Adornment) -> BTreeSet<Va
 
 /// Compute a SIP plan for a rule instance under a head adornment.
 /// [`SipKind::CostBased`] falls back to greedy here; use
-/// [`plan_with_stats`] to supply EDB statistics.
+/// [`plan_with_stats`] to supply the EDB whose statistics to use.
 pub fn plan(rule: &Rule, head_adornment: &Adornment, kind: SipKind) -> SipPlan {
     plan_with_stats(rule, head_adornment, kind, None)
 }
 
-/// [`plan`] with optional EDB statistics for [`SipKind::CostBased`].
+/// [`plan`] with an optional EDB whose statistics steer
+/// [`SipKind::CostBased`].
 pub fn plan_with_stats(
     rule: &Rule,
     head_adornment: &Adornment,
     kind: SipKind,
-    stats: Option<&DbStats>,
+    stats: Option<&Database>,
 ) -> SipPlan {
     assert_eq!(
         rule.head.arity(),
@@ -301,13 +303,23 @@ fn greedy_order(rule: &Rule, bound_head: &BTreeSet<Var>) -> Vec<usize> {
     order
 }
 
+/// Estimated rows of `rel` matching an equality selection on
+/// `bound_cols`, under the uniformity assumption: each bound column
+/// divides the relation by its distinct count.
+fn selected_rows(rel: &mp_storage::Relation, bound_cols: &[usize]) -> f64 {
+    let summary = rel.summary();
+    bound_cols.iter().fold(rel.len() as f64, |est, &c| {
+        est / summary.get(c).map_or(1, |s| s.distinct()).max(1) as f64
+    })
+}
+
 /// Cost-based order: repeatedly schedule the unscheduled subgoal with
 /// the smallest estimated retrieved size, where EDB sizes come from
-/// [`DbStats`] (rows divided by distinct counts of bound columns) and
-/// IDB subgoals — whose sizes are unknown before evaluation — are scored
-/// like the greedy heuristic, as an optimistic `10^(unbound)` proxy.
+/// [`selected_rows`] and IDB subgoals — whose sizes are unknown before
+/// evaluation — are scored like the greedy heuristic, as an optimistic
+/// `10^(unbound)` proxy.
 #[allow(clippy::needless_range_loop)] // index drives both the filter and the pick
-fn cost_based_order(rule: &Rule, bound_head: &BTreeSet<Var>, stats: &DbStats) -> Vec<usize> {
+fn cost_based_order(rule: &Rule, bound_head: &BTreeSet<Var>, db: &Database) -> Vec<usize> {
     let k = rule.body.len();
     let mut produced: BTreeSet<Var> = BTreeSet::new();
     let mut scheduled = vec![false; k];
@@ -333,8 +345,8 @@ fn cost_based_order(rule: &Rule, bound_head: &BTreeSet<Var>, stats: &DbStats) ->
                     }
                 }
             }
-            let est = match stats.relation(&sg.pred) {
-                Some(rs) => rs.selected_rows(&bound_cols),
+            let est = match db.relation(&sg.pred) {
+                Some(rel) => selected_rows(rel, &bound_cols),
                 None => 10f64.powi(unbound as i32),
             };
             let better = match best {
@@ -358,6 +370,23 @@ fn cost_based_order(rule: &Rule, bound_head: &BTreeSet<Var>, stats: &DbStats) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn selection_estimates_divide_by_distincts() {
+        // 100 rows; column 0 has 10 distinct values, column 1 has 50.
+        let mut db = Database::new();
+        for i in 0..100i64 {
+            db.insert("r", mp_storage::tuple![i % 10, i % 50, i])
+                .unwrap();
+        }
+        let rel = db.relation(&"r".into()).unwrap();
+        assert_eq!(selected_rows(rel, &[]), 100.0);
+        assert_eq!(selected_rows(rel, &[0]), 10.0);
+        assert_eq!(selected_rows(rel, &[1]), 2.0);
+        assert_eq!(selected_rows(rel, &[0, 1]), 0.2);
+        // A column outside the arity divides by nothing.
+        assert_eq!(selected_rows(rel, &[7]), 100.0);
+    }
     use mp_datalog::parser::parse_rule;
 
     fn ad(s: &str) -> Adornment {

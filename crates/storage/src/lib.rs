@@ -15,7 +15,9 @@
 //! * [`Relation`] — duplicate-free, insertion-ordered sets of tuples
 //!   stored once in an arena, with incrementally maintained [`KeyIndex`]
 //!   hash indexes on arbitrary column subsets (the semi-join operands
-//!   that class-`d` arguments require),
+//!   that class-`d` arguments require) and a lazily filled catalogue
+//!   ([`ColumnSummary`] per column, shared indexes) for relations that
+//!   are read many times between writes,
 //! * [`ops`] — select / project / join / semijoin / union / difference,
 //!   index-backed and sharing one probe kernel with the engine's
 //!   pipelined per-tuple forms.
@@ -35,7 +37,7 @@ mod value;
 pub use fast_hash::{FastHasher, FastMap, FastSet};
 pub use interner::{reserve_symbols, symbol_bytes, symbol_count};
 pub use ops::{AggError, AggFunc};
-pub use relation::{IndexedRelation, KeyIndex, Relation};
+pub use relation::{ColumnSummary, KeyIndex, Relation, Selection};
 pub use tuple::Tuple;
 pub use value::{Sym, Value};
 

@@ -117,22 +117,10 @@ fn index_on<'a>(rel: &'a Relation, cols: &[usize]) -> Result<Cow<'a, KeyIndex>, 
     }
 }
 
-fn check_cols(rel: &Relation, cols: &[usize]) -> Result<(), StorageError> {
-    for &c in cols {
-        if c >= rel.arity() {
-            return Err(StorageError::ColumnOutOfBounds {
-                column: c,
-                arity: rel.arity(),
-            });
-        }
-    }
-    Ok(())
-}
-
 /// Select rows where column `col` equals `value`: an index probe when
 /// one is prepared, else one tight pass over the column slice.
 pub fn select_eq(rel: &Relation, col: usize, value: &Value) -> Result<Relation, StorageError> {
-    check_cols(rel, &[col])?;
+    rel.check_cols(&[col])?;
     let mut out = Relation::new(rel.arity());
     if let Some(idx) = rel.index_for(&[col]) {
         for id in idx.probe_in(rel, std::slice::from_ref(value)) {
@@ -151,7 +139,7 @@ pub fn select_eq(rel: &Relation, col: usize, value: &Value) -> Result<Relation, 
 
 /// Select rows matching `key` on `cols`.
 pub fn select_on(rel: &Relation, cols: &[usize], key: &Tuple) -> Result<Relation, StorageError> {
-    check_cols(rel, cols)?;
+    rel.check_cols(cols)?;
     let mut out = Relation::new(rel.arity());
     for t in rel.probe(cols, key.values()) {
         out.insert(t.clone())?;
@@ -172,7 +160,7 @@ pub fn select_where(rel: &Relation, pred: impl Fn(&Tuple) -> bool) -> Relation {
 
 /// Project onto `cols` (deduplicating).
 pub fn project(rel: &Relation, cols: &[usize]) -> Result<Relation, StorageError> {
-    check_cols(rel, cols)?;
+    rel.check_cols(cols)?;
     let mut out = Relation::new(cols.len());
     for t in rel.iter() {
         out.insert(t.project(cols))?;
@@ -224,7 +212,7 @@ pub fn join(
 ) -> Result<Relation, StorageError> {
     let lcols: Vec<usize> = on.iter().map(|&(l, _)| l).collect();
     let rcols: Vec<usize> = on.iter().map(|&(_, r)| r).collect();
-    check_cols(left, &lcols)?;
+    left.check_cols(&lcols)?;
     let idx = index_on(right, &rcols)?;
     let mut out = Relation::new(left.arity() + right.arity());
     let hashes = left.key_hashes(&lcols);
@@ -250,7 +238,7 @@ pub fn semijoin(
 ) -> Result<Relation, StorageError> {
     let lcols: Vec<usize> = on.iter().map(|&(l, _)| l).collect();
     let rcols: Vec<usize> = on.iter().map(|&(_, r)| r).collect();
-    check_cols(left, &lcols)?;
+    left.check_cols(&lcols)?;
     let idx = index_on(right, &rcols)?;
     let mut out = Relation::new(left.arity());
     let hashes = left.key_hashes(&lcols);
@@ -273,7 +261,7 @@ pub fn antijoin(
 ) -> Result<Relation, StorageError> {
     let lcols: Vec<usize> = on.iter().map(|&(l, _)| l).collect();
     let rcols: Vec<usize> = on.iter().map(|&(_, r)| r).collect();
-    check_cols(left, &lcols)?;
+    left.check_cols(&lcols)?;
     let idx = index_on(right, &rcols)?;
     let mut out = Relation::new(left.arity());
     let hashes = left.key_hashes(&lcols);
@@ -333,8 +321,8 @@ pub fn aggregate(
     agg_col: usize,
     func: AggFunc,
 ) -> Result<Relation, AggError> {
-    check_cols(rel, group)?;
-    check_cols(rel, &[agg_col])?;
+    rel.check_cols(group)?;
+    rel.check_cols(&[agg_col])?;
     // Group order = first-occurrence order; per-group distinct values.
     let mut order: Vec<Tuple> = Vec::new();
     let mut seen: FastMap<Tuple, FastSet<Value>> = FastMap::default();

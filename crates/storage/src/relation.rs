@@ -21,11 +21,19 @@
 //! arena and store *hashes*, not keys: candidates are verified against
 //! the column mirror, so a tuple's values are never stored a third time
 //! and indexes stay valid as rows are appended.
+//!
+//! A relation also carries a **catalogue**: per-column summaries
+//! ([`Relation::summary`]) and hash indexes on requested column sets
+//! ([`Relation::shared_index`]), both filled lazily through `&self` and
+//! dropped by the next write. It is what lets a relation that many
+//! queries read (an EDB relation behind an `Arc`) be analysed and indexed
+//! once instead of once per query.
 
 use crate::fast_hash::{fold_key_word, FastMap, FastSet};
 use crate::{FastHasher, StorageError, Tuple, Value};
 use std::collections::HashMap;
 use std::hash::{BuildHasher, BuildHasherDefault};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// Fold a probe key into the `u64` bucket hash all key indexes share.
 /// The fold must match [`Relation::key_hashes`] word for word: the
@@ -59,6 +67,99 @@ pub struct Relation {
     /// Hash state used to fold a row into the `u64` dedup key.
     state: BuildHasherDefault<FastHasher>,
     indexes: HashMap<Vec<usize>, KeyIndex>,
+    catalogue: Catalogue,
+}
+
+/// What one column of a relation holds, computed in one hashing pass.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ColumnSummary {
+    /// The column's distinct values, sorted (integers before symbols).
+    pub values: Vec<Value>,
+    /// The largest number of rows sharing one value of this column (0 on
+    /// an empty relation). Read as a graph edge set, a binary relation's
+    /// column 0 gives its max out-degree and column 1 its max in-degree.
+    pub max_multiplicity: usize,
+}
+
+impl ColumnSummary {
+    fn of(col: &[Value]) -> ColumnSummary {
+        let mut counts: FastMap<Value, usize> = FastMap::default();
+        for &v in col {
+            *counts.entry(v).or_insert(0) += 1;
+        }
+        let max_multiplicity = counts.values().copied().max().unwrap_or(0);
+        let mut values: Vec<Value> = counts.into_keys().collect();
+        values.sort_unstable();
+        ColumnSummary {
+            values,
+            max_multiplicity,
+        }
+    }
+
+    /// Number of distinct values.
+    pub fn distinct(&self) -> usize {
+        self.values.len()
+    }
+
+    /// True when the column holds at least one integer.
+    pub fn has_ints(&self) -> bool {
+        matches!(self.values.first(), Some(Value::Int(_)))
+    }
+
+    /// True when the column holds at least one symbol.
+    pub fn has_syms(&self) -> bool {
+        matches!(self.values.last(), Some(Value::Str(_)))
+    }
+}
+
+/// The standing selection of an atom with constants and repeated
+/// variables: the rows holding each constant at its column and equal
+/// values at each column pair. The empty selection keeps every row.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Selection {
+    /// `(column, value)`: the column must hold the value.
+    pub consts: Vec<(usize, Value)>,
+    /// `(a, b)`: columns `a` and `b` must hold equal values.
+    pub eqs: Vec<(usize, usize)>,
+}
+
+impl Selection {
+    /// True when every row is selected.
+    pub fn is_empty(&self) -> bool {
+        self.consts.is_empty() && self.eqs.is_empty()
+    }
+}
+
+/// The lazily filled, write-invalidated memo of a [`Relation`].
+///
+/// Both parts are pure functions of the rows, so it does not matter which
+/// reader fills them: the first to ask computes, readers asking meanwhile
+/// wait for it, and all see the same value. A copy starts empty — the
+/// engine copies an EDB relation only to write to it, which would drop
+/// the memo anyway.
+#[derive(Debug, Default)]
+struct Catalogue {
+    summary: OnceLock<Vec<ColumnSummary>>,
+    indexes: Mutex<HashMap<Vec<usize>, Arc<KeyIndex>>>,
+}
+
+impl Clone for Catalogue {
+    fn clone(&self) -> Self {
+        Catalogue::default()
+    }
+}
+
+impl Catalogue {
+    /// Forget everything; called on every row actually added. On a
+    /// relation that never filled its catalogue (every node-local
+    /// temporary relation) this is two flag loads.
+    fn reset(&mut self) {
+        self.summary.take();
+        self.indexes
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clear();
+    }
 }
 
 impl Relation {
@@ -71,6 +172,7 @@ impl Relation {
             dedup: FastMap::default(),
             state: BuildHasherDefault::default(),
             indexes: HashMap::new(),
+            catalogue: Catalogue::default(),
         }
     }
 
@@ -102,6 +204,17 @@ impl Relation {
         self.rows.is_empty()
     }
 
+    /// Errors if any of `cols` lies outside the arity.
+    pub(crate) fn check_cols(&self, cols: &[usize]) -> Result<(), StorageError> {
+        match cols.iter().find(|&&c| c >= self.arity) {
+            Some(&column) => Err(StorageError::ColumnOutOfBounds {
+                column,
+                arity: self.arity,
+            }),
+            None => Ok(()),
+        }
+    }
+
     /// Row ids (into [`Relation::rows`]) of arena rows equal to `t`,
     /// i.e. zero or one id since the relation is a set.
     fn find(&self, t: &Tuple) -> Option<u32> {
@@ -129,6 +242,7 @@ impl Relation {
         if self.find_hashed(h, &t).is_some() {
             return Ok(false);
         }
+        self.catalogue.reset();
         let row_id = self.rows.len() as u32;
         for idx in self.indexes.values_mut() {
             idx.add(row_id, &t);
@@ -271,6 +385,55 @@ impl Relation {
         out
     }
 
+    /// Per-column summaries, one per column, computed on first use and
+    /// kept until the next write.
+    pub fn summary(&self) -> &[ColumnSummary] {
+        self.catalogue
+            .summary
+            .get_or_init(|| self.cols.iter().map(|col| ColumnSummary::of(col)).collect())
+    }
+
+    /// The hash index on exactly `cols`, built on first request and kept
+    /// until the next write. Callers hold the returned `Arc` and probe it
+    /// with [`KeyIndex::probe_in`] against this relation; only this call
+    /// takes the memo's lock, a probe never does.
+    pub fn shared_index(&self, cols: &[usize]) -> Result<Arc<KeyIndex>, StorageError> {
+        // A poisoned lock still guards a valid map: entries are inserted
+        // whole, after the index is built.
+        let mut memo = self
+            .catalogue
+            .indexes
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        if let Some(idx) = memo.get(cols) {
+            return Ok(Arc::clone(idx));
+        }
+        let idx = Arc::new(KeyIndex::build(self, cols)?);
+        memo.insert(cols.to_vec(), Arc::clone(&idx));
+        Ok(idx)
+    }
+
+    /// Row ids, in arena order, of the rows `sel` selects. Its constants
+    /// are answered by one probe of the [`Relation::shared_index`] on
+    /// their columns, so only the matching rows are visited.
+    pub fn select_ids(&self, sel: &Selection) -> Result<Vec<u32>, StorageError> {
+        for &(a, b) in &sel.eqs {
+            self.check_cols(&[a, b])?;
+        }
+        let eq_ok = |id: &u32| {
+            sel.eqs
+                .iter()
+                .all(|&(a, b)| self.cols[a][*id as usize] == self.cols[b][*id as usize])
+        };
+        if sel.consts.is_empty() {
+            return Ok((0..self.rows.len() as u32).filter(eq_ok).collect());
+        }
+        let (cols, key): (Vec<usize>, Vec<Value>) = sel.consts.iter().copied().unzip();
+        let idx = self.shared_index(&cols)?;
+        let ids = idx.probe_in(self, &key).filter(eq_ok).collect();
+        Ok(ids)
+    }
+
     /// Distinct values of a single column (insertion order of first sight).
     pub fn distinct_column(&self, col: usize) -> Vec<Value> {
         let mut seen = FastSet::default();
@@ -291,11 +454,6 @@ impl PartialEq for Relation {
 }
 impl Eq for Relation {}
 
-/// Historical name for a [`Relation`] with prepared indexes. Index
-/// maintenance now lives on [`Relation`] itself; the alias keeps older
-/// call sites and tests readable.
-pub type IndexedRelation = Relation;
-
 /// A hash index from values of a column subset to candidate row ids.
 ///
 /// The map is keyed by the *hash* of the key, not the key itself — the
@@ -314,14 +472,7 @@ impl KeyIndex {
     /// Build an index over `cols` for all rows of `rel`, hashing the key
     /// columns in batched column-at-a-time passes.
     pub fn build(rel: &Relation, cols: &[usize]) -> Result<Self, StorageError> {
-        for &c in cols {
-            if c >= rel.arity() {
-                return Err(StorageError::ColumnOutOfBounds {
-                    column: c,
-                    arity: rel.arity(),
-                });
-            }
-        }
+        rel.check_cols(cols)?;
         let mut idx = KeyIndex {
             cols: cols.to_vec(),
             buckets: FastMap::default(),
@@ -496,7 +647,7 @@ mod tests {
 
     #[test]
     fn indexed_relation_incremental_maintenance() {
-        let mut r = IndexedRelation::new(2);
+        let mut r = Relation::new(2);
         r.ensure_index(&[0]).unwrap();
         r.insert(tuple![1, 10]).unwrap();
         r.insert(tuple![1, 11]).unwrap();
@@ -511,7 +662,7 @@ mod tests {
 
     #[test]
     fn distinct_column_orders_by_first_sight() {
-        let mut r = IndexedRelation::new(2);
+        let mut r = Relation::new(2);
         for t in [tuple![2, 0], tuple![1, 0], tuple![2, 1]] {
             r.insert(t).unwrap();
         }
@@ -530,6 +681,107 @@ mod tests {
         // The original is untouched.
         assert_eq!(r.len(), 1);
         assert_eq!(c.column(1).len(), 2);
+    }
+
+    #[test]
+    fn summary_reports_values_types_and_multiplicity() {
+        let r = rel(&[tuple![1, "a"], tuple![1, "b"], tuple![2, "a"], tuple![1, 7]]);
+        let s = r.summary();
+        assert_eq!(s[0].values, vec![Value::int(1), Value::int(2)]);
+        assert_eq!((s[0].distinct(), s[0].max_multiplicity), (2, 3));
+        assert_eq!((s[0].has_ints(), s[0].has_syms()), (true, false));
+        assert_eq!(
+            s[1].values,
+            vec![Value::int(7), Value::str("a"), Value::str("b")]
+        );
+        assert_eq!(s[1].max_multiplicity, 2);
+        assert_eq!((s[1].has_ints(), s[1].has_syms()), (true, true));
+        // Empty and zero-arity relations have nothing to summarise.
+        assert_eq!(Relation::new(2).summary()[0].max_multiplicity, 0);
+        assert!(Relation::new(0).summary().is_empty());
+    }
+
+    #[test]
+    fn a_write_resets_the_catalogue() {
+        let mut r = rel(&[tuple![1, 10], tuple![2, 20]]);
+        assert_eq!(r.summary()[0].distinct(), 2);
+        let idx = r.shared_index(&[0]).unwrap();
+        assert!(
+            Arc::ptr_eq(&idx, &r.shared_index(&[0]).unwrap()),
+            "memoised"
+        );
+        // A duplicate adds no row and keeps the memo.
+        assert!(!r.insert(tuple![1, 10]).unwrap());
+        assert!(Arc::ptr_eq(&idx, &r.shared_index(&[0]).unwrap()));
+
+        assert!(r.insert(tuple![3, 10]).unwrap());
+        assert_eq!(r.summary()[0].distinct(), 3, "no stale distinct count");
+        assert_eq!(r.summary()[1].max_multiplicity, 2);
+        let fresh = r.shared_index(&[0]).unwrap();
+        assert!(!Arc::ptr_eq(&idx, &fresh), "the old index was dropped");
+        let key = [Value::int(3)];
+        assert_eq!(fresh.probe_in(&r, &key).collect::<Vec<_>>(), vec![2]);
+        // The handed-out index still describes the rows it was built over.
+        assert_eq!(idx.probe_in(&r, &key).count(), 0);
+        assert_eq!(idx.distinct_keys(), 2);
+    }
+
+    #[test]
+    fn a_copy_starts_with_an_empty_catalogue() {
+        let r = rel(&[tuple![1, 10], tuple![1, 11]]);
+        let idx = r.shared_index(&[0]).unwrap();
+        let mut c = r.clone();
+        assert!(!Arc::ptr_eq(&idx, &c.shared_index(&[0]).unwrap()));
+        c.insert(tuple![2, 20]).unwrap();
+        // The original's rows, summary and index are untouched.
+        assert_eq!(r.len(), 2);
+        assert_eq!(r.summary()[0].distinct(), 1);
+        assert!(Arc::ptr_eq(&idx, &r.shared_index(&[0]).unwrap()));
+        assert_eq!(c.summary()[0].distinct(), 2);
+    }
+
+    fn select(
+        r: &Relation,
+        consts: &[(usize, Value)],
+        eqs: &[(usize, usize)],
+    ) -> Result<Vec<u32>, StorageError> {
+        r.select_ids(&Selection {
+            consts: consts.to_vec(),
+            eqs: eqs.to_vec(),
+        })
+    }
+
+    #[test]
+    fn shared_index_rejects_bad_column() {
+        let r = rel(&[tuple![1, 2]]);
+        assert!(matches!(
+            r.shared_index(&[2]),
+            Err(StorageError::ColumnOutOfBounds {
+                column: 2,
+                arity: 2
+            })
+        ));
+        assert!(select(&r, &[(5, Value::int(1))], &[]).is_err());
+        assert!(select(&r, &[], &[(0, 9)]).is_err());
+    }
+
+    #[test]
+    fn select_ids_applies_constants_and_equalities() {
+        let r = rel(&[
+            tuple![1, 1, "a"],
+            tuple![1, 2, "a"],
+            tuple![2, 2, "b"],
+            tuple![1, 1, "b"],
+        ]);
+        assert!(Selection::default().is_empty());
+        assert_eq!(select(&r, &[], &[]).unwrap(), [0, 1, 2, 3]);
+        assert_eq!(select(&r, &[(0, Value::int(1))], &[]).unwrap(), [0, 1, 3]);
+        assert_eq!(select(&r, &[], &[(0, 1)]).unwrap(), [0, 2, 3]);
+        assert_eq!(
+            select(&r, &[(2, Value::str("b"))], &[(0, 1)]).unwrap(),
+            [2, 3]
+        );
+        assert!(select(&r, &[(0, Value::int(9))], &[]).unwrap().is_empty());
     }
 
     #[test]

@@ -2,8 +2,41 @@
 //! dedup and ordering invariants, operator laws that the engine's
 //! pipelined joins rely on.
 
-use mp_storage::{ops, tuple, IndexedRelation, KeyIndex, Relation, Tuple, Value};
+use mp_storage::{ops, tuple, KeyIndex, Relation, Selection, Tuple, Value};
 use proptest::prelude::*;
+
+/// A value drawn from a small mixed domain: four integers, four symbols.
+fn mixed(code: u8) -> Value {
+    if code < 4 {
+        Value::int(i64::from(code))
+    } else {
+        Value::str(format!("s{code}"))
+    }
+}
+
+/// Row-at-a-time reference for [`Relation::summary`]: the scan the
+/// catalogue replaced (one hash set per column, one counting map per
+/// column), kept here only to check it. Returns, per column, the sorted
+/// distinct values and the largest multiplicity.
+fn reference_summary(rel: &Relation) -> Vec<(Vec<Value>, usize)> {
+    use std::collections::{BTreeMap, HashSet};
+    let mut seen: Vec<HashSet<&Value>> = vec![HashSet::new(); rel.arity()];
+    let mut counts: Vec<BTreeMap<&Value, usize>> = vec![BTreeMap::new(); rel.arity()];
+    for t in rel.iter() {
+        for c in 0..rel.arity() {
+            seen[c].insert(&t[c]);
+            *counts[c].entry(&t[c]).or_insert(0) += 1;
+        }
+    }
+    seen.iter()
+        .zip(&counts)
+        .map(|(s, n)| {
+            let mut values: Vec<Value> = s.iter().map(|v| **v).collect();
+            values.sort();
+            (values, n.values().copied().max().unwrap_or(0))
+        })
+        .collect()
+}
 
 fn rel3(rows: &[(i64, i64, i64)]) -> Relation {
     let mut r = Relation::new(3);
@@ -41,7 +74,7 @@ proptest! {
         key in 0i64..5,
     ) {
         // Maintain the index while inserting vs building it afterwards.
-        let mut inc = IndexedRelation::new(3);
+        let mut inc = Relation::new(3);
         inc.ensure_index(&[1]).unwrap();
         for &(a, b, c) in &rows {
             inc.insert(tuple![a, b, c]).unwrap();
@@ -108,7 +141,7 @@ proptest! {
     fn distinct_column_matches_projection(
         rows in prop::collection::vec((0i64..5, 0i64..5), 0..30),
     ) {
-        let mut ir = IndexedRelation::new(2);
+        let mut ir = Relation::new(2);
         for &(a, b) in &rows { ir.insert(tuple![a, b]).unwrap(); }
         let direct: Vec<Value> = ir.distinct_column(0);
         let mut via_project: Vec<Value> = Vec::new();
@@ -118,5 +151,70 @@ proptest! {
             via_project.push(t[0]);
         }
         prop_assert_eq!(direct, via_project);
+    }
+
+    #[test]
+    fn catalogue_matches_reference_scan(
+        arity in 0usize..=3,
+        rows in prop::collection::vec((0u8..8, 0u8..8, 0u8..8), 0..40),
+    ) {
+        let mut rel = Relation::new(arity);
+        for &(a, b, c) in &rows {
+            let t: Tuple = [a, b, c][..arity].iter().map(|&v| mixed(v)).collect();
+            rel.insert(t).unwrap();
+        }
+        let reference = reference_summary(&rel);
+        let summary = rel.summary();
+        prop_assert_eq!(summary.len(), arity);
+        for (col, (values, max)) in summary.iter().zip(&reference) {
+            prop_assert_eq!(&col.values, values);
+            prop_assert_eq!(col.distinct(), values.len());
+            prop_assert_eq!(col.max_multiplicity, *max);
+            prop_assert_eq!(col.has_ints(), values.iter().any(|v| v.as_int().is_some()));
+            prop_assert_eq!(col.has_syms(), values.iter().any(|v| v.as_str().is_some()));
+        }
+        if arity == 2 {
+            // Max out- and in-degree of the relation read as an edge set.
+            let degree = |c: usize| {
+                rel.distinct_column(c)
+                    .iter()
+                    .map(|v| rel.iter().filter(|t| t[c] == *v).count())
+                    .max()
+                    .unwrap_or(0)
+            };
+            prop_assert_eq!(summary[0].max_multiplicity, degree(0));
+            prop_assert_eq!(summary[1].max_multiplicity, degree(1));
+        }
+    }
+
+    #[test]
+    fn select_ids_equals_row_filter(
+        rows in prop::collection::vec((0u8..6, 0u8..6, 0u8..6), 0..40),
+        const_cols in prop::sample::subsequence(vec![0usize, 1, 2], 0..=2),
+        key in (0u8..6, 0u8..6),
+        eq_cols in prop::sample::subsequence(vec![0usize, 1, 2], 0..=2),
+    ) {
+        let mut rel = Relation::new(3);
+        for &(a, b, c) in &rows {
+            rel.insert([a, b, c].iter().map(|&v| mixed(v)).collect()).unwrap();
+        }
+        let consts: Vec<(usize, Value)> = const_cols
+            .iter()
+            .zip([key.0, key.1])
+            .map(|(&c, v)| (c, mixed(v)))
+            .collect();
+        let eqs: Vec<(usize, usize)> = match eq_cols[..] {
+            [a, b] => vec![(a, b)],
+            _ => Vec::new(),
+        };
+        let by_filter: Vec<u32> = rel
+            .iter()
+            .enumerate()
+            .filter(|(_, t)| {
+                consts.iter().all(|(c, v)| t[*c] == *v) && eqs.iter().all(|&(a, b)| t[a] == t[b])
+            })
+            .map(|(i, _)| i as u32)
+            .collect();
+        prop_assert_eq!(rel.select_ids(&Selection { consts, eqs }).unwrap(), by_filter);
     }
 }

@@ -5,7 +5,6 @@
 //! exact on structured graphs.
 
 use mp_analyze::{analyze, AnalyzeOptions, PartitionKey};
-use mp_datalog::DbStats;
 use mp_lint::Code;
 use mp_rulegoal::{RuleGoalGraph, SipKind};
 use mp_workloads::scenarios::{self, Workload};
@@ -77,23 +76,31 @@ fn every_canonical_workload_gets_partition_keys_or_explicit_mp405() {
 /// relation has in-degree = fanout at internal nodes.
 #[test]
 fn degree_stats_are_exact_on_canonical_graphs() {
+    // (max out-degree, max in-degree) of a binary relation read as an
+    // edge set: the largest multiplicity of columns 0 and 1.
+    let degrees = |db: &mp_datalog::Database, pred: &str| {
+        let summary = db
+            .relation(&pred.into())
+            .expect("relation exists")
+            .summary();
+        (summary[0].max_multiplicity, summary[1].max_multiplicity)
+    };
     let chain = scenarios::tc_chain(16);
-    let stats = DbStats::of(&chain.db);
-    let edge = stats.relation(&"edge".into()).expect("edge exists");
-    assert_eq!(edge.max_out_degree, Some(1), "chain is functional");
-    assert_eq!(edge.max_in_degree, Some(1), "chain is inverse-functional");
+    assert_eq!(
+        degrees(&chain.db, "edge"),
+        (1, 1),
+        "chain is functional and inverse-functional"
+    );
 
     let cycle = scenarios::tc_cycle(12);
-    let stats = DbStats::of(&cycle.db);
-    let edge = stats.relation(&"edge".into()).expect("edge exists");
-    assert_eq!(edge.max_out_degree, Some(1));
-    assert_eq!(edge.max_in_degree, Some(1));
+    assert_eq!(degrees(&cycle.db, "edge"), (1, 1));
 
     // sg's child→parent edges: every child has one parent, and internal
     // parents have `fanout` children.
     let sg = scenarios::sg_tree(3, 2, 11);
-    let stats = DbStats::of(&sg.db);
-    let up = stats.relation(&"up".into()).expect("up exists");
-    assert_eq!(up.max_out_degree, Some(1), "each child has one parent");
-    assert_eq!(up.max_in_degree, Some(2), "binary tree parents");
+    assert_eq!(
+        degrees(&sg.db, "up"),
+        (1, 2),
+        "one parent per child, binary tree parents"
+    );
 }
