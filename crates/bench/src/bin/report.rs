@@ -11,16 +11,8 @@
 //! markdown (used by the CI bench-smoke job to publish artifacts); it
 //! requires naming one experiment.
 
-use mp_bench::experiments;
-use mp_bench::{json_table, markdown_table, Row, Scale};
-
-fn render<T: Row>(rows: &[T], json: bool) -> String {
-    if json {
-        json_table(rows)
-    } else {
-        markdown_table(rows)
-    }
-}
+use mp_bench::experiments::{full_report, EXPERIMENTS};
+use mp_bench::Scale;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -37,25 +29,13 @@ fn main() {
 
     match only {
         None if json => eprintln!("--json needs one experiment, e.g. `report quick e11 --json`"),
-        None => print!("{}", experiments::full_report(scale)),
-        Some("e1") => print!("{}", render(&experiments::e1(scale), json)),
-        Some("e2") => print!("{}", render(&experiments::e2(scale), json)),
-        Some("e3") => print!("{}", render(&experiments::e3(scale), json)),
-        Some("e4") => print!("{}", render(&experiments::e4(scale), json)),
-        Some("e5") => print!("{}", render(&experiments::e5(scale), json)),
-        Some("e6") => print!("{}", render(&experiments::e6(scale), json)),
-        Some("e7") => print!("{}", render(&experiments::e7(scale), json)),
-        Some("e8") => print!("{}", render(&experiments::e8(scale), json)),
-        Some("e9") => print!("{}", render(&experiments::e9(scale), json)),
-        Some("e10") => print!("{}", render(&experiments::e10(scale), json)),
-        Some("e11") => print!("{}", render(&experiments::e11(scale), json)),
-        Some("e12") => print!("{}", render(&experiments::e12(scale), json)),
-        Some("e13") => print!("{}", render(&experiments::e13(scale), json)),
-        Some("e14") => print!("{}", render(&experiments::e14(scale), json)),
-        Some("e15") => print!("{}", render(&experiments::e15(scale), json)),
-        Some("e16") => print!("{}", render(&experiments::e16(scale), json)),
-        Some("a1") => print!("{}", render(&experiments::a1(scale), json)),
-        Some("a2") => print!("{}", render(&experiments::a2(scale), json)),
-        Some(other) => eprintln!("unknown experiment {other}; use e1..e16, a1, a2"),
+        None => print!("{}", full_report(scale)),
+        Some(id) => match EXPERIMENTS.iter().find(|(known, ..)| *known == id) {
+            Some((_, _, table)) => print!("{}", table(scale, json)),
+            None => {
+                let ids: Vec<&str> = EXPERIMENTS.iter().map(|(id, ..)| *id).collect();
+                eprintln!("unknown experiment {id}; use one of {}", ids.join(", "))
+            }
+        },
     }
 }

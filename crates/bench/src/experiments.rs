@@ -1,7 +1,10 @@
-//! The nine experiments of EXPERIMENTS.md. Each returns table rows;
-//! `Scale::Quick` keeps everything under a few seconds for tests.
+//! The experiments of EXPERIMENTS.md, listed once in [`EXPERIMENTS`].
+//! Each returns table rows; `Scale::Quick` keeps everything under a few
+//! seconds for tests.
 
-use crate::{markdown_table, run_baseline, run_engine, run_engine_with, Scale};
+use crate::{
+    json_table, markdown_table, measure, run_baseline, run_engine, run_engine_with, Row, Scale,
+};
 use mp_baselines::{all_baselines, MagicSets, SemiNaive};
 use mp_datalog::analysis::DependencyAnalysis;
 use mp_datalog::{Database, Var};
@@ -369,31 +372,34 @@ pub fn e4(scale: Scale) -> Vec<E4Row> {
     let inner = mp_datalog::parser::parse_rule("c(X, Z) :- a(X, Y), b(Y, U), c(U, Z).").unwrap();
     let mut rows = Vec::new();
     for &depth in depths {
-        let mut rule = mp_hypergraph::examples::r1();
-        let mut qt = match monotone_flow(&rule, &bound) {
-            MonotoneFlow::Monotone(qt) => qt,
-            MonotoneFlow::Cyclic(_) => unreachable!("R1 is monotone"),
+        let seed = || {
+            let rule = mp_hypergraph::examples::r1();
+            match monotone_flow(&rule, &bound) {
+                MonotoneFlow::Monotone(qt) => (rule, qt),
+                MonotoneFlow::Cyclic(_) => unreachable!("R1 is monotone"),
+            }
         };
-        let t0 = Instant::now();
-        let mut all_valid = true;
-        for _ in 0..depth {
-            let qi = match monotone_flow(&inner, &bound) {
-                MonotoneFlow::Monotone(qt) => qt,
-                MonotoneFlow::Cyclic(_) => unreachable!("chain rule is monotone"),
-            };
-            let last = rule.body.len() - 1;
-            let comp = compose(&rule, &qt, last, &inner, &qi).expect("leaf resolution");
-            all_valid &= comp.qual_tree.verify().is_ok();
-            rule = comp.rule;
-            qt = comp.qual_tree;
-        }
-        let micros = t0.elapsed().as_secs_f64() * 1e6 / depth as f64;
+        let ((rule, all_valid), millis) = measure(1, seed, |(mut rule, mut qt)| {
+            let mut all_valid = true;
+            for _ in 0..depth {
+                let qi = match monotone_flow(&inner, &bound) {
+                    MonotoneFlow::Monotone(qt) => qt,
+                    MonotoneFlow::Cyclic(_) => unreachable!("chain rule is monotone"),
+                };
+                let last = rule.body.len() - 1;
+                let comp = compose(&rule, &qt, last, &inner, &qi).expect("leaf resolution");
+                all_valid &= comp.qual_tree.verify().is_ok();
+                rule = comp.rule;
+                qt = comp.qual_tree;
+            }
+            (rule, all_valid)
+        });
         rows.push(E4Row {
             depth,
             body_len: rule.body.len(),
             composed_valid: all_valid,
             monotone_preserved: monotone_flow(&rule, &bound).is_monotone(),
-            micros_per_compose: micros,
+            micros_per_compose: millis * 1e3 / depth as f64,
         });
     }
     rows
@@ -968,20 +974,19 @@ pub fn e11(scale: Scale) -> Vec<E11Row> {
         // batch 0 = batching off; batch 1 = batching on, flush bound 1
         // (identical framing to scalar — it is the speedup baseline).
         for batch in [0usize, 1, 4, 64] {
-            let mut millis = f64::INFINITY;
-            let mut last = None;
-            for _ in 0..reps {
-                let mut eng = Engine::new(w.program.clone(), w.db.clone())
-                    .with_fault_plan(FaultPlan::default());
-                if batch > 0 {
-                    eng = eng.with_batching(true).with_batch_size(batch);
-                }
-                let t0 = Instant::now();
-                let r = eng.evaluate().expect("e11 run");
-                millis = millis.min(t0.elapsed().as_secs_f64() * 1e3);
-                last = Some(r);
-            }
-            let r = last.expect("at least one rep");
+            let (r, millis) = measure(
+                reps,
+                || {
+                    let eng = Engine::new(w.program.clone(), w.db.clone())
+                        .with_fault_plan(FaultPlan::default());
+                    if batch > 0 {
+                        eng.with_batching(true).with_batch_size(batch)
+                    } else {
+                        eng
+                    }
+                },
+                |eng| eng.evaluate().expect("e11 run"),
+            );
             if batch == 0 {
                 scalar_answers = r.answers.sorted_rows();
                 scalar_logical = r.stats.logical_answers;
@@ -1098,22 +1103,20 @@ pub fn e14(scale: Scale) -> Vec<E14Row> {
                 // traffic and answers are still asserted identical.
                 group_logical = None;
             }
-            let mut millis = f64::INFINITY;
-            let mut last = None;
-            for _ in 0..reps {
-                let mut eng = Engine::new(w.program.clone(), w.db.clone());
-                if *wired {
-                    eng = eng.with_fault_plan(FaultPlan::default());
-                }
-                if let Some(b) = budget {
-                    eng = eng.with_budget(b.clone());
-                }
-                let t0 = Instant::now();
-                let r = eng.evaluate().expect("e14 run");
-                millis = millis.min(t0.elapsed().as_secs_f64() * 1e3);
-                last = Some(r);
-            }
-            let r = last.expect("at least one rep");
+            let (r, millis) = measure(
+                reps,
+                || {
+                    let mut eng = Engine::new(w.program.clone(), w.db.clone());
+                    if *wired {
+                        eng = eng.with_fault_plan(FaultPlan::default());
+                    }
+                    if let Some(b) = budget {
+                        eng = eng.with_budget(b.clone());
+                    }
+                    eng
+                },
+                |eng| eng.evaluate().expect("e14 run"),
+            );
             if *name == "off" {
                 base_answers = r.answers.sorted_rows();
             } else {
@@ -1216,21 +1219,19 @@ pub fn e12(scale: Scale) -> Vec<E12Row> {
             let mut base_millis = f64::INFINITY;
             let mut base_answers = Vec::new();
             for traced in [false, true] {
-                let mut millis = f64::INFINITY;
-                let mut last = None;
-                for _ in 0..reps {
-                    let eng = Engine::new(w.program.clone(), w.db.clone())
-                        .with_runtime(kind)
-                        .with_budget(
-                            QueryBudget::new().with_deadline(std::time::Duration::from_secs(60)),
-                        )
-                        .with_trace(traced);
-                    let t0 = Instant::now();
-                    let r = eng.evaluate().expect("e12 run");
-                    millis = millis.min(t0.elapsed().as_secs_f64() * 1e3);
-                    last = Some(r);
-                }
-                let r = last.expect("at least one rep");
+                let (r, millis) = measure(
+                    reps,
+                    || {
+                        Engine::new(w.program.clone(), w.db.clone())
+                            .with_runtime(kind)
+                            .with_budget(
+                                QueryBudget::new()
+                                    .with_deadline(std::time::Duration::from_secs(60)),
+                            )
+                            .with_trace(traced)
+                    },
+                    |eng| eng.evaluate().expect("e12 run"),
+                );
                 if !traced {
                     base_millis = millis;
                     base_answers = r.answers.sorted_rows();
@@ -1320,21 +1321,18 @@ pub fn e13(scale: Scale) -> Vec<E13Row> {
         });
         let mut wrows = Vec::new();
         for workers in [1usize, 2, 4, 8] {
-            let mut millis = f64::INFINITY;
-            let mut last = None;
-            for _ in 0..reps {
-                let eng = Engine::new(w.program.clone(), w.db.clone())
-                    .with_runtime(RuntimeKind::Threads)
-                    .with_budget(
-                        QueryBudget::new().with_deadline(std::time::Duration::from_secs(120)),
-                    )
-                    .with_workers(workers);
-                let t0 = Instant::now();
-                let r = eng.evaluate().expect("e13 pooled run");
-                millis = millis.min(t0.elapsed().as_secs_f64() * 1e3);
-                last = Some(r);
-            }
-            let r = last.expect("at least one rep");
+            let (r, millis) = measure(
+                reps,
+                || {
+                    Engine::new(w.program.clone(), w.db.clone())
+                        .with_runtime(RuntimeKind::Threads)
+                        .with_budget(
+                            QueryBudget::new().with_deadline(std::time::Duration::from_secs(120)),
+                        )
+                        .with_workers(workers)
+                },
+                |eng| eng.evaluate().expect("e13 pooled run"),
+            );
             // The pool must be observably the simulator (Thm 3.1/4.1).
             assert_eq!(r.answers.sorted_rows(), sim_answers, "{}", w.name);
             assert_eq!(
@@ -1395,6 +1393,18 @@ pub struct E15Row {
     pub millis: f64,
 }
 
+/// The engine of one E15/E16 row: `K` shards on the simulator or, for
+/// `"threads"`, on the pool under a two-minute deadline.
+fn sharded_engine(w: &mp_workloads::Workload, runtime: &str, k: usize) -> Engine {
+    let eng = Engine::new(w.program.clone(), w.db.clone()).with_shards(k);
+    if runtime == "threads" {
+        eng.with_runtime(RuntimeKind::Threads)
+            .with_budget(QueryBudget::new().with_deadline(std::time::Duration::from_secs(120)))
+    } else {
+        eng
+    }
+}
+
 /// E15 — sharded evaluation: K-way replication of request-keyed nodes
 /// with deterministic hash routing, on a random transitive closure and
 /// a same-generation tree. Every row asserts the sharding contract
@@ -1432,15 +1442,11 @@ pub fn e15(scale: Scale) -> Vec<E15Row> {
         let mut routed_somewhere = false;
         for (runtime, ks) in [("sim", &[1usize, 2, 4, 8][..]), ("threads", &[1, 4][..])] {
             for &k in ks {
-                let mut eng = Engine::new(w.program.clone(), w.db.clone()).with_shards(k);
-                if runtime == "threads" {
-                    eng = eng.with_runtime(RuntimeKind::Threads).with_budget(
-                        QueryBudget::new().with_deadline(std::time::Duration::from_secs(120)),
-                    );
-                }
-                let t0 = Instant::now();
-                let r = eng.evaluate().expect("e15 sharded run");
-                let millis = t0.elapsed().as_secs_f64() * 1e3;
+                let (r, millis) = measure(
+                    1,
+                    || sharded_engine(&w, runtime, k),
+                    |eng| eng.evaluate().expect("e15 sharded run"),
+                );
                 // The sharding contract, asserted on every row.
                 assert_eq!(
                     r.answers.sorted_rows(),
@@ -1530,15 +1536,11 @@ pub fn e16(scale: Scale) -> Vec<E16Row> {
             .sorted_rows();
         for (runtime, ks) in [("sim", &[1usize, 4][..]), ("threads", &[1, 4][..])] {
             for &k in ks {
-                let mut eng = Engine::new(w.program.clone(), w.db.clone()).with_shards(k);
-                if runtime == "threads" {
-                    eng = eng.with_runtime(RuntimeKind::Threads).with_budget(
-                        QueryBudget::new().with_deadline(std::time::Duration::from_secs(120)),
-                    );
-                }
-                let t0 = Instant::now();
-                let r = eng.evaluate().expect("e16 staged run");
-                let millis = t0.elapsed().as_secs_f64() * 1e3;
+                let (r, millis) = measure(
+                    1,
+                    || sharded_engine(&w, runtime, k),
+                    |eng| eng.evaluate().expect("e16 staged run"),
+                );
                 // The soundness contract, asserted on every row.
                 assert_eq!(
                     r.answers.sorted_rows(),
@@ -1566,48 +1568,64 @@ pub fn e16(scale: Scale) -> Vec<E16Row> {
     rows
 }
 
+/// One experiment: report id, section title, and a renderer of its rows
+/// at a scale, as JSON (`true`) or markdown.
+pub type Experiment = (&'static str, &'static str, fn(Scale, bool) -> String);
+
+fn render<T: Row>(rows: &[T], json: bool) -> String {
+    if json {
+        json_table(rows)
+    } else {
+        markdown_table(rows)
+    }
+}
+
+/// A registry entry for the experiment function `$id`: its name is the
+/// report id.
+macro_rules! experiment {
+    ($id:ident, $title:literal) => {
+        (stringify!($id), $title, |scale, json| {
+            render(&$id(scale), json)
+        })
+    };
+}
+
+/// Every experiment, in report order. The `report` binary and
+/// [`full_report`] both iterate this list.
+pub const EXPERIMENTS: &[Experiment] = &[
+    experiment!(e1, "E1 — P1 across methods (Fig 1)"),
+    experiment!(e2, "E2 — termination protocol (Fig 2, Thm 3.1)"),
+    experiment!(e3, "E3 — monotone flow vs cyclic rule (Figs 3–4)"),
+    experiment!(e4, "E4 — qual tree composition (Fig 5, Thm 4.2)"),
+    experiment!(e5, "E5 — nonlinear recursion (§1.2)"),
+    experiment!(e6, "E6 — SIP strategies (Def 2.4)"),
+    experiment!(e7, "E7 — parallel execution (§1.2)"),
+    experiment!(e8, "E8 — graph size independence (Thm 2.1)"),
+    experiment!(e9, "E9 — §4.3 cost model"),
+    experiment!(e10, "E10 — evaluation under faults (chaos sweep)"),
+    experiment!(e11, "E11 — data-plane vectorization (tuples/sec)"),
+    experiment!(e12, "E12 — tracing overhead (mp-trace off vs on)"),
+    experiment!(e13, "E13 — worker-pool scaling (work-stealing scheduler)"),
+    experiment!(e14, "E14 — resource-governance overhead (clean path)"),
+    experiment!(e15, "E15 — sharded evaluation (K-way hash routing)"),
+    experiment!(
+        e16,
+        "E16 — staged stratified evaluation (negation + aggregates)"
+    ),
+    experiment!(a1, "A1 — packaged tuple requests (ablation, §3.1 fn 2)"),
+    experiment!(
+        a2,
+        "A2 — cost-based SIP from EDB statistics (ablation, §1.2)"
+    ),
+];
+
 /// Run every experiment at the given scale and render markdown.
 pub fn full_report(scale: Scale) -> String {
-    let mut out = String::new();
     let started = Instant::now();
-    out.push_str("# Experiment report\n\n");
-    out.push_str(&format!("scale: {scale:?}\n\n"));
-    out.push_str("## E1 — P1 across methods (Fig 1)\n\n");
-    out.push_str(&markdown_table(&e1(scale)));
-    out.push_str("\n## E2 — termination protocol (Fig 2, Thm 3.1)\n\n");
-    out.push_str(&markdown_table(&e2(scale)));
-    out.push_str("\n## E3 — monotone flow vs cyclic rule (Figs 3–4)\n\n");
-    out.push_str(&markdown_table(&e3(scale)));
-    out.push_str("\n## E4 — qual tree composition (Fig 5, Thm 4.2)\n\n");
-    out.push_str(&markdown_table(&e4(scale)));
-    out.push_str("\n## E5 — nonlinear recursion (§1.2)\n\n");
-    out.push_str(&markdown_table(&e5(scale)));
-    out.push_str("\n## E6 — SIP strategies (Def 2.4)\n\n");
-    out.push_str(&markdown_table(&e6(scale)));
-    out.push_str("\n## E7 — parallel execution (§1.2)\n\n");
-    out.push_str(&markdown_table(&e7(scale)));
-    out.push_str("\n## E8 — graph size independence (Thm 2.1)\n\n");
-    out.push_str(&markdown_table(&e8(scale)));
-    out.push_str("\n## E9 — §4.3 cost model\n\n");
-    out.push_str(&markdown_table(&e9(scale)));
-    out.push_str("\n## E10 — evaluation under faults (chaos sweep)\n\n");
-    out.push_str(&markdown_table(&e10(scale)));
-    out.push_str("\n## E11 — data-plane vectorization (tuples/sec)\n\n");
-    out.push_str(&markdown_table(&e11(scale)));
-    out.push_str("\n## E12 — tracing overhead (mp-trace off vs on)\n\n");
-    out.push_str(&markdown_table(&e12(scale)));
-    out.push_str("\n## E13 — worker-pool scaling (work-stealing scheduler)\n\n");
-    out.push_str(&markdown_table(&e13(scale)));
-    out.push_str("\n## E14 — resource-governance overhead (clean path)\n\n");
-    out.push_str(&markdown_table(&e14(scale)));
-    out.push_str("\n## E15 — sharded evaluation (K-way hash routing)\n\n");
-    out.push_str(&markdown_table(&e15(scale)));
-    out.push_str("\n## E16 — staged stratified evaluation (negation + aggregates)\n\n");
-    out.push_str(&markdown_table(&e16(scale)));
-    out.push_str("\n## A1 — packaged tuple requests (ablation, §3.1 fn 2)\n\n");
-    out.push_str(&markdown_table(&a1(scale)));
-    out.push_str("\n## A2 — cost-based SIP from EDB statistics (ablation, §1.2)\n\n");
-    out.push_str(&markdown_table(&a2(scale)));
+    let mut out = format!("# Experiment report\n\nscale: {scale:?}\n");
+    for (_, title, table) in EXPERIMENTS {
+        out.push_str(&format!("\n## {title}\n\n{}", table(scale, false)));
+    }
     out.push_str(&format!(
         "\n(total report time: {:.1}s)\n",
         started.elapsed().as_secs_f64()
@@ -1959,6 +1977,98 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Consume one JSON value from the front of `s` (RFC 8259 grammar,
+    /// escapes checked by shape only); `None` if it is malformed.
+    fn json_value(s: &str) -> Option<&str> {
+        let s = s.trim_start();
+        let number = |c: char| c.is_ascii_digit() || "+-.eE".contains(c);
+        match s.chars().next()? {
+            '"' => {
+                let mut chars = s[1..].char_indices();
+                while let Some((i, c)) = chars.next() {
+                    match c {
+                        '"' => return Some(&s[i + 2..]),
+                        '\\' => drop(chars.next()?),
+                        c if (c as u32) < 0x20 => return None,
+                        _ => {}
+                    }
+                }
+                None
+            }
+            open @ ('[' | '{') => {
+                let close = if open == '[' { ']' } else { '}' };
+                let mut rest = s[1..].trim_start();
+                if let Some(rest) = rest.strip_prefix(close) {
+                    return Some(rest);
+                }
+                loop {
+                    if open == '{' {
+                        rest = json_value(rest).filter(|_| rest.starts_with('"'))?;
+                        rest = rest.trim_start().strip_prefix(':')?;
+                    }
+                    rest = json_value(rest)?.trim_start();
+                    match rest.strip_prefix(',') {
+                        Some(more) => rest = more.trim_start(),
+                        None => return rest.strip_prefix(close),
+                    }
+                }
+            }
+            c if number(c) => {
+                let end = s.find(|c| !number(c)).unwrap_or(s.len());
+                s[..end].parse::<f64>().ok().map(|_| &s[end..])
+            }
+            _ => ["true", "false", "null"]
+                .iter()
+                .find_map(|lit| s.strip_prefix(lit)),
+        }
+    }
+
+    #[test]
+    fn json_value_accepts_json_and_nothing_else() {
+        for good in [
+            "[]",
+            "[\n  {\"a\": 1, \"b\": -2.5000, \"c\": \"x\\\"y\", \"d\": true, \"e\": null}\n]\n",
+        ] {
+            assert_eq!(json_value(good).map(str::trim), Some(""), "{good}");
+        }
+        for bad in [
+            "[1,]",
+            "{\"a\" 1}",
+            "{1: 2}",
+            "[NaN]",
+            "[\"open]",
+            "[1 2]",
+            "[1",
+        ] {
+            assert_ne!(json_value(bad).map(str::trim), Some(""), "{bad}");
+        }
+    }
+
+    #[test]
+    fn every_registry_entry_has_its_own_id_and_renders() {
+        let ids: BTreeSet<&str> = EXPERIMENTS.iter().map(|(id, ..)| *id).collect();
+        assert_eq!(ids.len(), EXPERIMENTS.len(), "duplicate experiment id");
+        for (id, _, table) in EXPERIMENTS {
+            let md = table(Scale::Quick, false);
+            assert!(
+                md.starts_with("| ") && md.lines().count() >= 3,
+                "{id}: {md}"
+            );
+            let json = table(Scale::Quick, true);
+            assert!(json.starts_with("[\n  {"), "{id}: {json}");
+            assert_eq!(json_value(&json).map(str::trim), Some(""), "{id}: {json}");
+        }
+    }
+
+    #[test]
+    fn full_report_has_one_section_per_registry_entry() {
+        let report = full_report(Scale::Quick);
+        for (_, title, _) in EXPERIMENTS {
+            assert_eq!(report.matches(title).count(), 1, "{title}");
+        }
+        assert_eq!(report.matches("\n## ").count(), EXPERIMENTS.len());
     }
 
     #[test]

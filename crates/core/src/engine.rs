@@ -2,7 +2,9 @@
 
 use crate::fault::FaultPlan;
 use crate::node::{Network, ShardPlan};
-use crate::runtime::{CancelToken, QueryBudget, RuntimeError, Schedule, SimRuntime, ThreadRuntime};
+use crate::runtime::{
+    CancelToken, QueryBudget, RuntimeError, Schedule, SimOutcome, SimRuntime, ThreadRuntime,
+};
 use crate::stats::Stats;
 use mp_datalog::analysis::DependencyAnalysis;
 use mp_datalog::{Atom, Database, DatalogError, Predicate, Program, Rule, Term, Var};
@@ -103,6 +105,10 @@ pub struct Compiled {
     pub pruned_nodes: usize,
     /// Rule nodes among [`Compiled::pruned_nodes`].
     pub pruned_rules: usize,
+    /// The stratum assignment the MP009/MP010 gate inferred (a single
+    /// stratum for a negation-free, aggregate-free program); staged
+    /// evaluation walks it.
+    pub strata: mp_analyze::StratumPlan,
 }
 
 /// The result of evaluating a query.
@@ -171,7 +177,6 @@ pub struct Engine {
     workers: usize,
     analysis: bool,
     shards: usize,
-    stratify: bool,
 }
 
 impl Engine {
@@ -195,7 +200,6 @@ impl Engine {
             workers: 0,
             analysis: true,
             shards: 1,
-            stratify: true,
         }
     }
 
@@ -221,20 +225,6 @@ impl Engine {
     /// bit-identical answers (the analysis soundness property).
     pub fn with_analysis(mut self, analysis: bool) -> Engine {
         self.analysis = analysis;
-        self
-    }
-
-    /// Enable or disable the compile-time stratification gate (default:
-    /// enabled). The gate runs mp-stratify's MP009/MP010 cycle checks in
-    /// [`Engine::compile`]; a negation-free, aggregate-free program
-    /// compiles and evaluates bit-identically — answers and the Thm 4.1
-    /// logical counters — with the pass on or off. Disabling the gate
-    /// does *not* disable staged evaluation itself: a program that uses
-    /// `!` or an aggregate is always evaluated stratum by stratum (the
-    /// pipeline is what makes those constructs well-defined), and an
-    /// unstratifiable program is still rejected by the staging driver.
-    pub fn with_stratification(mut self, stratify: bool) -> Engine {
-        self.stratify = stratify;
         self
     }
 
@@ -308,14 +298,6 @@ impl Engine {
         self
     }
 
-    /// Pre-size the process-wide string interner for an expected symbol
-    /// count, avoiding rehashes during a bulk load. Purely a capacity
-    /// hint; takes effect immediately.
-    pub fn with_symbol_capacity(self, symbols: usize) -> Engine {
-        mp_storage::reserve_symbols(symbols);
-        self
-    }
-
     /// Inject faults: wrap every link in the given seeded, deterministic
     /// fault plan and route all traffic through the self-healing
     /// transport (sequence numbers, acks, retransmission, log-replay
@@ -361,10 +343,8 @@ impl Engine {
         // Stratum inference gates alongside the rule-local lints: an
         // unstratifiable program (MP009/MP010) has no perfect model to
         // evaluate, so it is rejected here with the same typed error.
-        if self.stratify {
-            let (_, strat) = mp_analyze::stratify(&self.program, None);
-            diags.extend(strat);
-        }
+        let (strata, strat) = mp_analyze::stratify(&self.program, None);
+        diags.extend(strat);
         mp_lint::sort_diagnostics(&mut diags);
         if diags.iter().any(Diagnostic::is_deny) {
             return Err(EngineError::Lint(diags));
@@ -457,6 +437,7 @@ impl Engine {
             analysis,
             pruned_nodes,
             pruned_rules,
+            strata,
         })
     }
 
@@ -481,24 +462,33 @@ impl Engine {
     /// the strata above it (the perfect-model semantics). One budget
     /// spans all strata; [`Stats::strata_evaluated`] counts the runs.
     pub fn evaluate(&self) -> Result<QueryResult, EngineError> {
+        self.run(None)
+    }
+
+    /// The flat/staged split behind [`Engine::evaluate`] and
+    /// [`Engine::replay`]. `recorded` is a trace's activation order for
+    /// the run the trace covers: the only run of a flat program, the
+    /// final stratum's of a staged one.
+    fn run(&self, recorded: Option<&[u32]>) -> Result<QueryResult, EngineError> {
         if mp_analyze::uses_negation_or_aggregates(&self.program) {
-            self.evaluate_staged()
+            self.evaluate_staged(recorded)
         } else {
-            self.evaluate_direct()
+            self.evaluate_direct(recorded)
         }
     }
 
     /// Evaluate as a single engine run, with negated subgoals compiled
     /// into antijoin filters against the (already materialized) EDB.
-    fn evaluate_direct(&self) -> Result<QueryResult, EngineError> {
+    /// With `recorded`, nodes are activated in that order instead of by
+    /// the schedule; only [`Engine::replay`] passes one, and it runs the
+    /// simulator.
+    fn evaluate_direct(&self, recorded: Option<&[u32]>) -> Result<QueryResult, EngineError> {
         let compiled = self.compile()?;
-        let (pruned_nodes, pruned_rules) = (compiled.pruned_nodes, compiled.pruned_rules);
         let graph = compiled.graph;
-        let graph_nodes = graph.len();
         let mut network = Network::compile_sharded(&graph, &self.db, &self.shard_plan(&graph));
         network.set_batching(self.batching);
         network.set_batch_max(self.batch_size);
-        match self.runtime {
+        let out = match self.runtime {
             RuntimeKind::Sim(schedule) => {
                 let sim = SimRuntime {
                     schedule,
@@ -509,22 +499,18 @@ impl Engine {
                     budget: self.budget.clone(),
                     cancel: self.cancel.clone(),
                 };
-                let out = sim.run(&mut network)?;
-                let mut stats = out.stats;
-                stats.pruned_nodes = pruned_nodes as u64;
-                stats.pruned_rules = pruned_rules as u64;
-                stats.strata_evaluated = 1;
-                Ok(QueryResult {
-                    answers: out.answers,
-                    stats,
-                    graph_nodes,
-                    trace: out.trace,
-                    events: out.events,
-                    engine_ends: out.engine_ends,
-                    post_end_answers: out.post_end_answers,
-                })
+                match recorded {
+                    None => sim.run(&mut network)?,
+                    Some(activations) => {
+                        sim.run_replay(&mut network, std::iter::once(Tuple::unit()), activations)?
+                    }
+                }
             }
             RuntimeKind::Threads => {
+                debug_assert!(
+                    recorded.is_none(),
+                    "a recorded schedule replays on the simulator"
+                );
                 let rt = ThreadRuntime {
                     timeout: self.budget.deadline,
                     fault_plan: self.fault_plan.clone(),
@@ -535,21 +521,31 @@ impl Engine {
                     cancel: self.cancel.clone(),
                 };
                 let out = rt.run(network)?;
-                let mut stats = out.stats;
-                stats.pruned_nodes = pruned_nodes as u64;
-                stats.pruned_rules = pruned_rules as u64;
-                stats.strata_evaluated = 1;
-                Ok(QueryResult {
+                // The pool keeps no message log; the rest is the
+                // simulator's outcome field for field.
+                SimOutcome {
                     answers: out.answers,
-                    stats,
-                    graph_nodes,
+                    stats: out.stats,
                     trace: None,
                     events: out.events,
                     engine_ends: out.engine_ends,
                     post_end_answers: out.post_end_answers,
-                })
+                }
             }
-        }
+        };
+        let mut stats = out.stats;
+        stats.pruned_nodes = compiled.pruned_nodes as u64;
+        stats.pruned_rules = compiled.pruned_rules as u64;
+        stats.strata_evaluated = 1;
+        Ok(QueryResult {
+            answers: out.answers,
+            stats,
+            graph_nodes: graph.len(),
+            trace: out.trace,
+            events: out.events,
+            engine_ends: out.engine_ends,
+            post_end_answers: out.post_end_answers,
+        })
     }
 
     /// A clone of this engine pointed at a sub-program over the staged
@@ -587,20 +583,12 @@ impl Engine {
     /// through a synthesized `goal(V..) :- p(V..)` query. The final
     /// stratum is the original query; its result carries the merged
     /// stats of the whole pipeline. Traces and events, when enabled,
-    /// cover the final stratum's run.
-    fn evaluate_staged(&self) -> Result<QueryResult, EngineError> {
+    /// cover the final stratum's run — the one `recorded` drives.
+    fn evaluate_staged(&self, recorded: Option<&[u32]>) -> Result<QueryResult, EngineError> {
         let started = Instant::now();
         // Full-program static gate: MP0xx program lints, MP009–MP012,
         // graph/protocol lints, and the analysis warnings.
-        self.compile()?;
-        let (plan, mut strat_diags) = mp_analyze::stratify(&self.program, None);
-        if strat_diags.iter().any(Diagnostic::is_deny) {
-            // Only reachable with the compile-time gate disabled via
-            // `with_stratification(false)`: staging still refuses to
-            // evaluate a program with no perfect model.
-            mp_lint::sort_diagnostics(&mut strat_diags);
-            return Err(EngineError::Lint(strat_diags));
-        }
+        let plan = self.compile()?.strata;
 
         let deps = DependencyAnalysis::of(&self.program);
         let relevant = deps.relevant_to_goal();
@@ -639,7 +627,7 @@ impl Engine {
                     facts: Vec::new(),
                 };
                 let eng = self.sub_engine(sub, &working_db, self.remaining_budget(started, &spent));
-                let mut out = eng.evaluate_direct()?;
+                let mut out = eng.evaluate_direct(recorded)?;
                 out.stats.merge(&spent);
                 return Ok(out);
             }
@@ -686,7 +674,7 @@ impl Engine {
                 let eng = self
                     .sub_engine(sub, &working_db, self.remaining_budget(started, &spent))
                     .with_trace(false);
-                let out = eng.evaluate_direct()?;
+                let out = eng.evaluate_direct(None)?;
                 spent.merge(&out.stats);
                 sealed.push((pred, out.answers.iter().cloned().collect()));
             }
@@ -733,7 +721,7 @@ impl Engine {
         let out = self
             .sub_engine(sub, db, self.remaining_budget(started, spent))
             .with_trace(false)
-            .evaluate_direct()?;
+            .evaluate_direct(None)?;
 
         let agg_idx = head_vars
             .iter()
@@ -775,37 +763,14 @@ impl Engine {
     /// schedule-invariant (Thm 3.1/4.1), so a replay of any valid trace
     /// — including one recorded under chaos on the threaded runtime —
     /// reproduces them exactly; the replay's own event trace rides along
-    /// in [`QueryResult::events`].
+    /// in [`QueryResult::events`]. A stratified program's trace covers
+    /// its final stratum: the replay materializes the strata below it on
+    /// the same simulator and replays the recorded schedule on top.
     pub fn replay(&self, recorded: &mp_trace::Trace) -> Result<QueryResult, EngineError> {
-        let graph = self.compile()?.graph;
-        let graph_nodes = graph.len();
-        let mut network = Network::compile_sharded(&graph, &self.db, &self.shard_plan(&graph));
-        network.set_batching(self.batching);
-        network.set_batch_max(self.batch_size);
-        let sim = SimRuntime {
-            schedule: Schedule::Fifo,
-            max_steps: self.budget.max_steps,
-            trace: self.trace,
-            fault_plan: None,
-            recovery: self.recovery,
-            budget: self.budget.clone(),
-            cancel: self.cancel.clone(),
-        };
-        let activations = recorded.activation_order();
-        let out = sim.run_replay(
-            &mut network,
-            std::iter::once(mp_storage::Tuple::unit()),
-            &activations,
-        )?;
-        Ok(QueryResult {
-            answers: out.answers,
-            stats: out.stats,
-            graph_nodes,
-            trace: out.trace,
-            events: out.events,
-            engine_ends: out.engine_ends,
-            post_end_answers: out.post_end_answers,
-        })
+        let mut sim = self.clone();
+        sim.runtime = RuntimeKind::Sim(Schedule::Fifo);
+        sim.fault_plan = None;
+        sim.run(Some(&recorded.activation_order()))
     }
 }
 

@@ -184,8 +184,10 @@ pub enum RuntimeError {
     /// a termination-protocol failure (should be impossible; kept as a
     /// first-class error so tests can assert it never happens).
     NoTermination,
-    /// The threaded runtime timed out waiting for the final `End`.
-    /// Carries enough of the abort-time state to diagnose the hang.
+    /// The wall-clock deadline passed before the final `End` arrived, on
+    /// either runtime (the simulator samples the clock every 1024
+    /// steps). Carries enough of the abort-time state to diagnose the
+    /// hang.
     Timeout {
         /// The configured timeout in milliseconds.
         budget_millis: u64,
@@ -197,7 +199,8 @@ pub enum RuntimeError {
         /// nonzero depths only.
         pending: Vec<(usize, usize)>,
         /// Nodes whose worker threads failed to stop within the drain
-        /// grace period (empty when shutdown was clean).
+        /// grace period (empty when shutdown was clean, and always on
+        /// the simulator).
         unjoined: Vec<usize>,
     },
     /// An answer reaching the engine did not match the goal's arity —
@@ -308,7 +311,7 @@ impl std::fmt::Display for RuntimeError {
             } => {
                 write!(
                     f,
-                    "threaded evaluation timed out after {elapsed_millis} ms \
+                    "evaluation timed out after {elapsed_millis} ms \
                      (budget {budget_millis} ms); {partial_answers} partial answers"
                 )?;
                 if !pending.is_empty() {

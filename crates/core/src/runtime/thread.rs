@@ -59,11 +59,11 @@ use crate::runtime::{
     budget_error, cancel_wave_on_trip, node_usage, tracer_for, RuntimeError, TRACE_RING_CAPACITY,
 };
 use crate::stats::Stats;
-use crossbeam_channel::{unbounded, RecvTimeoutError, Sender};
 use mp_storage::{Relation, Tuple};
 use mp_trace::{Event, Ring, Stamp, Trace};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -722,7 +722,7 @@ impl ThreadRuntime {
         let shard_of = std::mem::take(&mut network.shard_of);
 
         let net = Arc::new(PoolNet::new(n, workers, Arc::clone(&governor)));
-        let (engine_tx, engine_rx) = unbounded::<TMsg>();
+        let (engine_tx, engine_rx) = channel::<TMsg>();
 
         // One shared lock-free ring for every actor's events; the trace
         // is collected from it after the workers stop.
@@ -763,7 +763,7 @@ impl ThreadRuntime {
 
         // Spawn the pool. Each worker signals `done_tx` on exit — the
         // condvar/channel join below replaces any sleep-polling.
-        let (done_tx, done_rx) = unbounded::<usize>();
+        let (done_tx, done_rx) = channel::<usize>();
         let mut handles = Vec::with_capacity(workers);
         for w in 0..workers {
             let worker = PoolWorker {

@@ -114,9 +114,9 @@ impl DependencyAnalysis {
     }
 }
 
-/// Tarjan's strongly-connected-components algorithm over the predicate
-/// graph, iterative to keep deep programs off the call stack. Components
-/// are emitted callees-first (reverse topological order).
+/// Strong components of the predicate graph, callees first, each
+/// component in predicate order. `nodes` must be sorted, so that index
+/// order is predicate order.
 fn tarjan_sccs(
     nodes: &[Predicate],
     edges: &BTreeMap<Predicate, BTreeSet<Predicate>>,
@@ -132,16 +132,27 @@ fn tarjan_sccs(
                 .unwrap_or_default()
         })
         .collect();
+    tarjan(&succ)
+        .into_iter()
+        .map(|comp| comp.into_iter().map(|i| nodes[i].clone()).collect())
+        .collect()
+}
 
-    let n = nodes.len();
+/// Tarjan's strongly-connected-components algorithm over a plain
+/// adjacency list (`succ[v]` = successors of node `v`), iterative to
+/// keep deep graphs off the call stack. Components are emitted in
+/// reverse topological order (callees before callers, feeders before
+/// customers), each sorted ascending.
+pub fn tarjan(succ: &[Vec<usize>]) -> Vec<Vec<usize>> {
+    let n = succ.len();
     let mut index = vec![usize::MAX; n];
     let mut lowlink = vec![0usize; n];
     let mut on_stack = vec![false; n];
     let mut stack: Vec<usize> = Vec::new();
     let mut next_index = 0usize;
-    let mut sccs: Vec<Vec<Predicate>> = Vec::new();
+    let mut sccs: Vec<Vec<usize>> = Vec::new();
 
-    // Explicit DFS state machine: (node, next-successor-position).
+    // Explicit DFS state machine: (node, next_index-successor-position).
     for start in 0..n {
         if index[start] != usize::MAX {
             continue;
@@ -172,12 +183,12 @@ fn tarjan_sccs(
                     loop {
                         let w = stack.pop().expect("tarjan stack underflow");
                         on_stack[w] = false;
-                        comp.push(nodes[w].clone());
+                        comp.push(w);
                         if w == v {
                             break;
                         }
                     }
-                    comp.sort();
+                    comp.sort_unstable();
                     sccs.push(comp);
                 }
             }

@@ -47,7 +47,7 @@ impl SccInfo {
             .iter()
             .map(|v| v.iter().map(|&(t, _)| t).collect())
             .collect();
-        let components = tarjan(n, &succ);
+        let components = mp_datalog::analysis::tarjan(&succ);
         let mut comp_of = vec![0usize; n];
         for (ci, comp) in components.iter().enumerate() {
             for &node in comp {
@@ -166,58 +166,4 @@ impl SccInfo {
     pub fn bfst_children(&self, node: NodeId) -> &[NodeId] {
         &self.bfst_children[node]
     }
-}
-
-/// Iterative Tarjan SCC over a plain adjacency list; components are
-/// emitted in reverse topological order (feeders before customers).
-fn tarjan(n: usize, succ: &[Vec<usize>]) -> Vec<Vec<usize>> {
-    let mut index = vec![usize::MAX; n];
-    let mut lowlink = vec![0usize; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<usize> = Vec::new();
-    let mut next = 0usize;
-    let mut comps: Vec<Vec<usize>> = Vec::new();
-
-    for start in 0..n {
-        if index[start] != usize::MAX {
-            continue;
-        }
-        let mut work: Vec<(usize, usize)> = vec![(start, 0)];
-        while let Some(&mut (v, ref mut pi)) = work.last_mut() {
-            if *pi == 0 {
-                index[v] = next;
-                lowlink[v] = next;
-                next += 1;
-                stack.push(v);
-                on_stack[v] = true;
-            }
-            if let Some(&w) = succ[v].get(*pi) {
-                *pi += 1;
-                if index[w] == usize::MAX {
-                    work.push((w, 0));
-                } else if on_stack[w] {
-                    lowlink[v] = lowlink[v].min(index[w]);
-                }
-            } else {
-                work.pop();
-                if let Some(&(parent, _)) = work.last() {
-                    lowlink[parent] = lowlink[parent].min(lowlink[v]);
-                }
-                if lowlink[v] == index[v] {
-                    let mut comp = Vec::new();
-                    loop {
-                        let w = stack.pop().expect("tarjan stack underflow");
-                        on_stack[w] = false;
-                        comp.push(w);
-                        if w == v {
-                            break;
-                        }
-                    }
-                    comp.sort_unstable();
-                    comps.push(comp);
-                }
-            }
-        }
-    }
-    comps
 }
