@@ -750,7 +750,7 @@ pub fn a1(scale: Scale) -> Vec<A1Row> {
             .evaluate()
             .expect("plain");
         let batched = Engine::new(w.program.clone(), w.db.clone())
-            .with_batching(true)
+            .with_batch_size(64)
             .evaluate()
             .expect("batched");
         assert_eq!(plain.answers, batched.answers, "{}", w.name);
@@ -930,7 +930,7 @@ pub fn e10(scale: Scale) -> Vec<E10Row> {
 pub struct E11Row {
     /// Workload.
     pub workload: String,
-    /// Flush bound (`scalar` = batching off).
+    /// Flush bound (`scalar` = 1: every item is its own frame).
     pub batch: String,
     /// Answers.
     pub answers: usize,
@@ -942,8 +942,7 @@ pub struct E11Row {
     pub millis: f64,
     /// Logical answer tuples per second of wall time.
     pub tuples_per_sec: f64,
-    /// Throughput relative to the batch-1 row of the same workload
-    /// (batching machinery on, flush bound 1 — i.e. scalar framing).
+    /// Throughput relative to the scalar row of the same workload.
     pub speedup: f64,
 }
 
@@ -971,23 +970,18 @@ pub fn e11(scale: Scale) -> Vec<E11Row> {
         let mut wrows = Vec::new();
         let mut scalar_answers = Vec::new();
         let mut scalar_logical = 0u64;
-        // batch 0 = batching off; batch 1 = batching on, flush bound 1
-        // (identical framing to scalar — it is the speedup baseline).
-        for batch in [0usize, 1, 4, 64] {
+        // Batch size 1 is the scalar framing and the speedup baseline.
+        for batch in [1usize, 4, 64] {
             let (r, millis) = measure(
                 reps,
                 || {
-                    let eng = Engine::new(w.program.clone(), w.db.clone())
-                        .with_fault_plan(FaultPlan::default());
-                    if batch > 0 {
-                        eng.with_batching(true).with_batch_size(batch)
-                    } else {
-                        eng
-                    }
+                    Engine::new(w.program.clone(), w.db.clone())
+                        .with_fault_plan(FaultPlan::default())
+                        .with_batch_size(batch)
                 },
                 |eng| eng.evaluate().expect("e11 run"),
             );
-            if batch == 0 {
+            if batch == 1 {
                 scalar_answers = r.answers.sorted_rows();
                 scalar_logical = r.stats.logical_answers;
             } else {
@@ -998,7 +992,7 @@ pub fn e11(scale: Scale) -> Vec<E11Row> {
             let rate = r.stats.logical_answers as f64 / (millis / 1e3).max(1e-9);
             wrows.push(E11Row {
                 workload: w.name.clone(),
-                batch: if batch == 0 {
+                batch: if batch == 1 {
                     "scalar".into()
                 } else {
                     batch.to_string()
@@ -1013,7 +1007,7 @@ pub fn e11(scale: Scale) -> Vec<E11Row> {
         }
         let base_rate = wrows
             .iter()
-            .find(|r| r.batch == "1")
+            .find(|r| r.batch == "scalar")
             .map(|r| r.tuples_per_sec)
             .unwrap_or(1.0);
         for r in &mut wrows {

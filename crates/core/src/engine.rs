@@ -97,8 +97,8 @@ pub struct Compiled {
     /// entry.
     pub warnings: Vec<Diagnostic>,
     /// The abstract-interpretation analysis over the *unpruned* graph:
-    /// per-node cardinality/volume estimates, batch-size hints, and
-    /// partition keys (the `mpq --explain` payload).
+    /// per-node cardinality/volume estimates and partition keys (the
+    /// `mpq --explain` payload).
     pub analysis: mp_analyze::Analysis,
     /// Nodes removed from the graph by analysis pruning (0 when analysis
     /// is disabled or nothing was dead).
@@ -170,7 +170,6 @@ pub struct Engine {
     budget: QueryBudget,
     cancel: CancelToken,
     trace: bool,
-    batching: bool,
     batch_size: usize,
     fault_plan: Option<FaultPlan>,
     recovery: bool,
@@ -193,8 +192,7 @@ impl Engine {
             budget: QueryBudget::default(),
             cancel: CancelToken::default(),
             trace: false,
-            batching: false,
-            batch_size: 64,
+            batch_size: 1,
             fault_plan: None,
             recovery: true,
             workers: 0,
@@ -279,20 +277,14 @@ impl Engine {
         self
     }
 
-    /// Package tuple requests, answers, and per-binding ends produced by
-    /// one message into one batch per arc (§3.1 footnote 2).
-    /// Semantically transparent — the logical message counts and
-    /// Thm 3.1 observables are identical to the scalar path — while
-    /// physical frame counts drop on fan-out-heavy workloads.
-    pub fn with_batching(mut self, batching: bool) -> Engine {
-        self.batching = batching;
-        self
-    }
-
-    /// Set the per-arc batch flush bound (default 64, clamped to ≥ 1):
-    /// a buffer reaching this size is flushed mid-turn; smaller buffers
-    /// flush when their node's mailbox drains. Only observable with
-    /// [`Engine::with_batching`] enabled.
+    /// Set the per-arc batch flush bound (default 1, clamped to ≥ 1).
+    /// At 1 every tuple request, answer and per-binding end is its own
+    /// message — the scalar framing. Above 1 they are packaged one batch
+    /// per arc (§3.1 footnote 2): a buffer reaching this size is flushed
+    /// mid-turn, smaller buffers flush when their node's mailbox drains.
+    /// Semantically transparent — the logical message counts and Thm 3.1
+    /// observables are identical at every size — while physical frame
+    /// counts drop on fan-out-heavy workloads.
     pub fn with_batch_size(mut self, batch_size: usize) -> Engine {
         self.batch_size = batch_size.max(1);
         self
@@ -486,7 +478,7 @@ impl Engine {
         let compiled = self.compile()?;
         let graph = compiled.graph;
         let mut network = Network::compile_sharded(&graph, &self.db, &self.shard_plan(&graph));
-        network.set_batching(self.batching);
+        network.set_batching(self.batch_size > 1);
         network.set_batch_max(self.batch_size);
         let out = match self.runtime {
             RuntimeKind::Sim(schedule) => {

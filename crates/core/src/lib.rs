@@ -43,4 +43,4 @@ pub use engine::{evaluate_str, Compiled, Engine, EngineError, QueryResult, Runti
 pub use fault::{CrashPoint, FaultPlan};
 pub use msg::{Endpoint, Msg, Payload};
 pub use runtime::{CancelToken, QueryBudget, Schedule};
-pub use stats::Stats;
+pub use stats::{LogicalCounters, Stats};

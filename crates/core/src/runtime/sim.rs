@@ -546,13 +546,14 @@ impl SimRuntime {
             sim.wire.now += 1;
             guard.step(&governor, &sim.sink, &sim.mailboxes)?;
             let driver = &mut sim.drivers[id];
-            driver.log(&msg);
-            driver.note_deliver(&msg, stamp.as_deref());
+            let mailbox_empty = sim.mailboxes.queues[id].is_empty();
             let pressure = driver.under_pressure();
+            driver.log(&msg, mailbox_empty || pressure);
+            driver.note_deliver(&msg, stamp.as_deref());
             let mut ctx = Ctx {
                 out: &mut out,
                 stats: &mut driver.stats,
-                mailbox_empty: sim.mailboxes.queues[id].is_empty(),
+                mailbox_empty,
                 pressure,
                 tracer: driver.tracer.as_mut(),
             };

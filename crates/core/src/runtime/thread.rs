@@ -464,6 +464,9 @@ impl NodeState {
     fn poke(&mut self, mb: &Mailbox) {
         let mailbox_empty = mb.q.lock().unwrap().is_empty();
         let pressure = self.t.d.under_pressure();
+        if mailbox_empty || pressure {
+            self.t.d.note_flush();
+        }
         let mut ctx = Ctx {
             out: &mut self.scratch,
             stats: &mut self.t.d.stats,
@@ -480,12 +483,12 @@ impl NodeState {
     /// Handle one delivered logical message, then take the crash the
     /// fault plan may have scheduled right after it.
     fn process_msg(&mut self, msg: Msg, stamp: Option<Box<Stamp>>, mb: &Mailbox) {
-        if self.t.fault_mode {
-            self.t.d.log(&msg);
-        }
-        self.t.d.note_deliver(&msg, stamp.as_deref());
         let mailbox_empty = mb.q.lock().unwrap().is_empty();
         let pressure = self.t.d.under_pressure();
+        if self.t.fault_mode {
+            self.t.d.log(&msg, mailbox_empty || pressure);
+        }
+        self.t.d.note_deliver(&msg, stamp.as_deref());
         let mut ctx = Ctx {
             out: &mut self.scratch,
             stats: &mut self.t.d.stats,

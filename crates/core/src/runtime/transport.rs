@@ -111,6 +111,10 @@ pub(crate) struct Driver {
     pristine: Option<Process>,
     /// Durable log of every message the process handled, in order.
     log: Vec<Msg>,
+    /// One bit per log entry, packed: the entry's turn (its `handle`, or
+    /// an idle poke before the next entry) saw `mailbox_empty ||
+    /// pressure`, so every batch buffer was flushed by its end.
+    flushed: Vec<u64>,
     /// Restart generation.
     epoch: u64,
 }
@@ -132,6 +136,7 @@ impl Driver {
             acks_sent: 0,
             pristine,
             log: Vec::new(),
+            flushed: Vec::new(),
             epoch: 0,
         }
     }
@@ -157,9 +162,24 @@ impl Driver {
     }
 
     /// Append a message the process is about to handle to the durable
-    /// log [`Driver::maybe_crash`] replays.
-    pub fn log(&mut self, msg: &Msg) {
+    /// log [`Driver::maybe_crash`] replays, with whether its `handle`
+    /// will see `mailbox_empty || pressure` (the turn-bound batch flush).
+    pub fn log(&mut self, msg: &Msg, flushed: bool) {
+        if self.log.len().is_multiple_of(64) {
+            self.flushed.push(0);
+        }
         self.log.push(msg.clone());
+        if flushed {
+            self.note_flush();
+        }
+    }
+
+    /// The process flushed its batch buffers after handling the last
+    /// logged message (an idle poke found the mailbox drained).
+    pub fn note_flush(&mut self) {
+        if let Some(last) = self.log.len().checked_sub(1) {
+            self.flushed[last / 64] |= 1 << (last % 64);
+        }
     }
 
     /// True when any outgoing link holds window-stalled frames — the
@@ -404,7 +424,7 @@ impl Driver {
         for link in self.incoming.values_mut() {
             link.clear_volatile();
         }
-        let (fresh, replayed) = recover(pristine, &self.log);
+        let (fresh, replayed) = recover(pristine, &self.log, &self.flushed);
         self.stats.replayed += replayed;
         if let Some(tr) = self.tracer.as_mut() {
             tr.on_recover(self.epoch, replayed);
@@ -420,17 +440,34 @@ impl Driver {
 /// deterministic replay of the durable log of messages it had handled.
 /// Outputs are discarded — they were already sent (and sequenced durably)
 /// before the crash — and a scratch stats sink keeps replayed work out of
-/// the run's counters. Returns the process and the messages replayed.
-pub(crate) fn recover(pristine: &Process, log: &[Msg]) -> (Process, u64) {
+/// the run's counters. `flushed` holds one bit per log entry (see
+/// [`Driver::log`]): a turn that flushed the batch buffers flushes them
+/// in the replay too, so the reborn process holds only what had not been
+/// shipped. Returns the process and the messages replayed.
+pub(crate) fn recover(pristine: &Process, log: &[Msg], flushed: &[u64]) -> (Process, u64) {
     let mut fresh = pristine.clone();
     let mut scratch = Stats::default();
     let mut discard: Vec<Msg> = Vec::new();
     let mut replayed = 0;
-    for m in log {
+    for (i, m) in log.iter().enumerate() {
+        let mut ctx = Ctx {
+            out: &mut discard,
+            stats: &mut scratch,
+            // Never report an empty mailbox during replay: a leader must
+            // not originate a probe wave whose messages would be
+            // discarded. The recorded flush condition travels as
+            // `pressure`, which flushes and does nothing else.
+            mailbox_empty: false,
+            pressure: flushed[i / 64] >> (i % 64) & 1 == 1,
+            // Replayed deliveries were already recorded pre-crash;
+            // recording them again would double-count.
+            tracer: None,
+        };
         // Wave probes and replies are deliberately not replayed: protocol
         // state resets at restart and is rebuilt by fresh epoch-tagged
-        // waves. `SccFinished` IS replayed — it is durable component
-        // state (finished, feeders released), not wave state.
+        // waves; only the flush at the end of their turn is. `SccFinished`
+        // IS replayed — it is durable component state (finished, feeders
+        // released), not wave state.
         if matches!(
             m.payload,
             Payload::EndRequest { .. }
@@ -438,23 +475,14 @@ pub(crate) fn recover(pristine: &Process, log: &[Msg]) -> (Process, u64) {
                 | Payload::EndConfirmed { .. }
                 | Payload::Reborn { .. }
         ) {
-            continue;
+            if ctx.pressure {
+                fresh.poke(&mut ctx);
+            }
+        } else {
+            fresh.handle(m.clone(), &mut ctx);
+            replayed += 1;
         }
-        let mut ctx = Ctx {
-            out: &mut discard,
-            stats: &mut scratch,
-            // Never report an empty mailbox during replay: a leader must
-            // not originate a probe wave whose messages would be
-            // discarded.
-            mailbox_empty: false,
-            pressure: false,
-            // Replayed deliveries were already recorded pre-crash;
-            // recording them again would double-count.
-            tracer: None,
-        };
-        fresh.handle(m.clone(), &mut ctx);
         discard.clear();
-        replayed += 1;
     }
     (fresh, replayed)
 }

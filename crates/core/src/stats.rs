@@ -136,7 +136,44 @@ pub struct Stats {
     pub strata_evaluated: u64,
 }
 
+/// The seven schedule-invariant counters of one evaluation (Thm 4.1):
+/// the logical traffic and the work it caused. For a given program,
+/// database, SIP strategy and analysis setting they are identical under
+/// every schedule, runtime, batch size, worker count, shard count and
+/// recovered fault plan — the projection of [`Stats`] that invariance
+/// tests compare with `==`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct LogicalCounters {
+    /// [`Stats::logical_tuple_requests`].
+    pub logical_tuple_requests: u64,
+    /// [`Stats::logical_answers`].
+    pub logical_answers: u64,
+    /// [`Stats::logical_end_tuple_requests`].
+    pub logical_end_tuple_requests: u64,
+    /// [`Stats::derived_tuples`].
+    pub derived_tuples: u64,
+    /// [`Stats::stored_tuples`].
+    pub stored_tuples: u64,
+    /// [`Stats::goal_stored`].
+    pub goal_stored: u64,
+    /// [`Stats::join_probes`].
+    pub join_probes: u64,
+}
+
 impl Stats {
+    /// The schedule-invariant projection (see [`LogicalCounters`]).
+    pub fn logical(&self) -> LogicalCounters {
+        LogicalCounters {
+            logical_tuple_requests: self.logical_tuple_requests,
+            logical_answers: self.logical_answers,
+            logical_end_tuple_requests: self.logical_end_tuple_requests,
+            derived_tuples: self.derived_tuples,
+            stored_tuples: self.stored_tuples,
+            goal_stored: self.goal_stored,
+            join_probes: self.join_probes,
+        }
+    }
+
     /// Total *physical* messages sent (frames on the wire), by summing
     /// the per-kind counters. A batch counts as one.
     pub fn total_messages(&self) -> u64 {

@@ -9,42 +9,27 @@
 //!    the worker pool;
 //! 2. an explicit [`CancelToken`] trip returns `Cancelled` with the
 //!    same payload, and always drains (never hangs), also mid-chaos;
-//! 3. with a mailbox bound, credit windows on the recovery transport
-//!    cap queue depth under adversarial fan-in without deadlocking
-//!    recursive components (intra-SCC links are never windowed);
-//! 4. an unlimited budget is observably free: the step guard and the
-//!    deadline keep their historical errors, and governed clean-path
-//!    runs stay bit-identical.
+//! 3. an unlimited budget is observably free: the step guard and the
+//!    deadline keep their historical errors, and the governance counters
+//!    stay quiet.
+//!
+//! That a mailbox bound (credit windows on the recovery transport) and a
+//! deadline change neither answers nor logical counters is the
+//! `mailbox_bound` axis of the invariance harness (`tests/invariance.rs`
+//! at the workspace root), which runs everything under a deadline.
 
-use mp_datalog::parser::parse_program;
-use mp_datalog::Database;
 use mp_engine::runtime::RuntimeError;
 use mp_engine::runtime::Trip;
-use mp_engine::{Engine, EngineError, FaultPlan, QueryBudget, QueryResult, RuntimeKind, Schedule};
-use mp_storage::{tuple, Tuple};
-use std::collections::BTreeSet;
+use mp_engine::{Engine, EngineError, QueryBudget, RuntimeKind, Schedule};
+use mp_workloads::scenarios;
 use std::time::Duration;
 
-/// Recursive workload with heavy fan-in: dense transitive closure over
-/// a random-ish graph. Enough traffic to trip small budgets mid-run.
-fn tc_dense(n: i64) -> Engine {
-    let program = parse_program(
-        "path(X, Y) :- edge(X, Y).
-         path(X, Z) :- path(X, Y), edge(Y, Z).
-         ?- path(0, Z).",
-    )
-    .unwrap();
-    let mut db = Database::new();
-    for i in 0..n {
-        db.insert("edge", tuple![i, (i + 1) % n]).unwrap();
-        db.insert("edge", tuple![i, (i * 3 + 1) % n]).unwrap();
-        db.insert("edge", tuple![(i * 5 + 2) % n, i]).unwrap();
-    }
-    Engine::new(program, db)
-}
-
-fn rows(r: &QueryResult) -> Vec<Tuple> {
-    r.answers.sorted_rows()
+/// Recursive workload with heavy fan-in: transitive closure over a
+/// random graph with three edges per node. Enough traffic to trip small
+/// budgets mid-run.
+fn tc_dense(n: usize) -> Engine {
+    let w = scenarios::tc_random(n, 3 * n, 1);
+    Engine::new(w.program, w.db)
 }
 
 fn runtime_err(e: EngineError) -> RuntimeError {
@@ -83,7 +68,6 @@ fn legacy_shims_keep_their_historical_errors() {
 #[test]
 fn message_budget_trips_with_partial_answers_and_accounting() {
     let full = tc_dense(12).evaluate().unwrap();
-    let full_rows: BTreeSet<Tuple> = rows(&full).into_iter().collect();
 
     let err = runtime_err(
         tc_dense(12)
@@ -107,7 +91,7 @@ fn message_budget_trips_with_partial_answers_and_accounting() {
     assert!(used >= limit, "trip reported below the limit: {used}");
     assert!(cancel_waves >= 1);
     assert!(
-        partial.iter().all(|t| full_rows.contains(t)),
+        partial.iter().all(|t| full.answers.contains(t)),
         "partial answers must be a subset of the fixpoint"
     );
     assert_eq!(
@@ -236,67 +220,14 @@ fn sim_and_pool_trip_identically_shaped_errors() {
     }
 }
 
-/// Credit-based backpressure: with a mailbox bound on a zero-fault
-/// transport, queue depth under fan-in is capped (high water no worse
-/// than unbounded, stalls observed) while the answers stay bit-identical
-/// — bounding never deadlocks the recursive component.
-#[test]
-fn mailbox_bound_caps_queues_without_changing_answers() {
-    let unbounded = tc_dense(16)
-        .with_fault_plan(FaultPlan::default())
-        .evaluate()
-        .unwrap();
-    let bounded = tc_dense(16)
-        .with_fault_plan(FaultPlan::default())
-        .with_budget(QueryBudget::new().with_mailbox_bound(1))
-        .evaluate()
-        .unwrap();
-    assert_eq!(rows(&bounded), rows(&unbounded), "answers diverged");
-    assert_eq!(bounded.engine_ends, 1);
-    assert!(
-        bounded.stats.credits_stalled > 0,
-        "window of 1 on this fan-in must stall at least one frame"
-    );
-    assert!(
-        bounded.stats.mailbox_high_water <= unbounded.stats.mailbox_high_water,
-        "bounded run queued deeper than unbounded: {} > {}",
-        bounded.stats.mailbox_high_water,
-        unbounded.stats.mailbox_high_water
-    );
-}
-
-/// Backpressure composes with real faults: drops/dups/delays plus a
-/// tight window still converge to the exact fixpoint.
-#[test]
-fn mailbox_bound_survives_chaos() {
-    let baseline = tc_dense(12).evaluate().unwrap();
-    for seed in 0..8u64 {
-        let r = tc_dense(12)
-            .with_fault_plan(FaultPlan::seeded(seed))
-            .with_budget(QueryBudget::new().with_mailbox_bound(2))
-            .evaluate()
-            .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-        assert_eq!(rows(&r), rows(&baseline), "seed {seed} diverged");
-        assert_eq!(r.engine_ends, 1, "seed {seed}");
-        assert_eq!(r.post_end_answers, 0, "seed {seed}");
-    }
-}
-
-/// An unlimited budget is free: the governed run's answers, logical
-/// message counters, and Thm 3.1 observables are bit-identical to the
-/// ungoverned seed behaviour, and the new counters stay quiet.
+/// An unlimited budget is free: no cancel wave, no stalled credit, and
+/// memory is metered even without a limit.
 #[test]
 fn unlimited_budget_is_observably_free() {
     let r = tc_dense(12)
         .with_budget(QueryBudget::default())
         .evaluate()
         .unwrap();
-    let baseline = tc_dense(12).evaluate().unwrap();
-    assert_eq!(rows(&r), rows(&baseline));
-    assert_eq!(
-        r.stats.logical_messages(),
-        baseline.stats.logical_messages()
-    );
     assert_eq!(r.stats.cancel_waves, 0);
     assert_eq!(r.stats.credits_stalled, 0);
     assert!(
@@ -317,7 +248,6 @@ fn message_budget_is_batching_invariant() {
     );
     let batched = runtime_err(
         tc_dense(12)
-            .with_batching(true)
             .with_batch_size(16)
             .with_budget(QueryBudget::new().with_max_messages(40))
             .evaluate()

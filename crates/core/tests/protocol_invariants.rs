@@ -235,7 +235,7 @@ fn invariants_hold_with_batching() {
     }
     let r = Engine::new(program, db)
         .with_trace(true)
-        .with_batching(true)
+        .with_batch_size(64)
         .evaluate()
         .unwrap();
     let trace = r.trace.unwrap();

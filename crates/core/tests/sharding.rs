@@ -1,319 +1,39 @@
-//! Sharded-evaluation acceptance suite: K-way node replication with
-//! hash routing must be *answer-invariant* — for every workload and
-//! every K, the answer set and the batching-invariant logical counters
-//! are bit-identical to the unsharded run, on both runtimes, under
-//! random schedules, and under chaos with the recovery transport in the
-//! loop (including a crash of an individual shard instance). The
-//! two-level termination wave must keep the Thm 3.1 observables
-//! (exactly one `End`, nothing after `End`) at every K.
+//! Sharded-evaluation facts that are not invariance sweeps: the shape of
+//! the compiled shard layout, the broadcast verdict, and the MP108
+//! advice. That K-way replication is *answer-invariant* — answers and
+//! logical counters bit-identical to the unsharded run on both runtimes,
+//! under random schedules, chaos and a crash of one shard instance — is
+//! checked by the invariance harness (`tests/invariance.rs` at the
+//! workspace root).
 
 use mp_datalog::parser::parse_program;
 use mp_datalog::Database;
 use mp_engine::node::{Network, ShardPlan};
-use mp_engine::{Engine, FaultPlan, QueryResult, RuntimeKind, Schedule, Stats};
-use mp_storage::{tuple, Tuple};
-use std::time::Duration;
+use mp_engine::Engine;
+use mp_workloads::scenarios;
 
-/// A canonical workload: name, program text, and edge facts.
-struct Canonical {
-    name: &'static str,
-    src: &'static str,
-    edges: &'static [(&'static str, i64, i64)],
+/// Linear transitive closure over a chain: its EDB leaf is
+/// request-keyed, so sharding genuinely engages (asserted below).
+fn tc_chain() -> Engine {
+    let w = scenarios::tc_chain(6);
+    Engine::new(w.program, w.db)
 }
 
-/// Same canonical recursive workloads as the chaos suite: linear and
-/// nonlinear transitive closure over chains and cycles, mutual
-/// recursion, and the paper's P1. Every one has a request-keyed EDB
-/// leaf, so sharding genuinely engages (asserted below, not assumed).
-const CANONICAL: &[Canonical] = &[
-    Canonical {
-        name: "tc-chain",
-        src: "path(X, Y) :- edge(X, Y).
-              path(X, Z) :- path(X, Y), edge(Y, Z).
-              ?- path(0, Z).",
-        edges: &[
-            ("edge", 0, 1),
-            ("edge", 1, 2),
-            ("edge", 2, 3),
-            ("edge", 3, 4),
-            ("edge", 4, 5),
-        ],
-    },
-    Canonical {
-        name: "tc-cycle",
-        src: "path(X, Y) :- edge(X, Y).
-              path(X, Z) :- path(X, Y), edge(Y, Z).
-              ?- path(0, Z).",
-        edges: &[
-            ("edge", 0, 1),
-            ("edge", 1, 2),
-            ("edge", 2, 3),
-            ("edge", 3, 0),
-            ("edge", 2, 4),
-        ],
-    },
-    Canonical {
-        name: "tc-nonlinear",
-        src: "path(X, Y) :- edge(X, Y).
-              path(X, Z) :- path(X, Y), path(Y, Z).
-              ?- path(0, Z).",
-        edges: &[
-            ("edge", 0, 1),
-            ("edge", 1, 2),
-            ("edge", 2, 3),
-            ("edge", 3, 4),
-        ],
-    },
-    Canonical {
-        name: "odd-even",
-        src: "odd(X, Y) :- edge(X, Y).
-              odd(X, Y) :- edge(X, U), even(U, Y).
-              even(X, Y) :- edge(X, U), odd(U, Y).
-              ?- odd(0, Z).",
-        edges: &[
-            ("edge", 0, 1),
-            ("edge", 1, 2),
-            ("edge", 2, 3),
-            ("edge", 3, 4),
-        ],
-    },
-    Canonical {
-        name: "p1",
-        src: "p(X, Y) :- q(X, Y).
-              p(X, Z) :- r(X, W), p(W, Y), q(Y, Z).
-              ?- p(3, Z).",
-        edges: &[
-            ("q", 1, 2),
-            ("q", 2, 3),
-            ("q", 3, 4),
-            ("q", 4, 5),
-            ("r", 3, 2),
-            ("r", 2, 1),
-        ],
-    },
-];
-
-const KS: &[usize] = &[1, 2, 3, 4, 8];
-
-fn engine_for(w: &Canonical) -> Engine {
-    let program = parse_program(w.src).unwrap();
-    let mut db = Database::new();
-    for &(p, a, b) in w.edges {
-        db.insert(p, tuple![a, b]).unwrap();
-    }
-    Engine::new(program, db)
-}
-
-fn rows(r: &QueryResult) -> Vec<Tuple> {
-    r.answers.sorted_rows()
-}
-
-/// The counters sharding must not change: the batching-invariant logical
-/// traffic plus every work/storage observable. Physical frame counts
-/// (`relation_requests`, `stream_ends`, protocol traffic) legitimately
-/// grow with K — one stream per shard arc — and are deliberately absent.
-fn invariant_counters(s: &Stats) -> [u64; 9] {
-    [
-        s.logical_tuple_requests,
-        s.logical_answers,
-        s.logical_end_tuple_requests,
-        s.derived_tuples,
-        s.stored_tuples,
-        s.goal_stored,
-        s.join_probes,
-        s.edb_lookups,
-        s.answers,
-    ]
-}
-
-fn assert_invariant(name: &str, ctx: &str, baseline: &QueryResult, sharded: &QueryResult) {
-    assert_eq!(
-        sharded.engine_ends, 1,
-        "{name} [{ctx}]: expected exactly one End, got {}",
-        sharded.engine_ends
-    );
-    assert_eq!(
-        sharded.post_end_answers, 0,
-        "{name} [{ctx}]: answers arrived after the final End"
-    );
-    assert_eq!(
-        rows(sharded),
-        rows(baseline),
-        "{name} [{ctx}]: answers diverged from the unsharded run"
-    );
-    assert_eq!(
-        invariant_counters(&sharded.stats),
-        invariant_counters(&baseline.stats),
-        "{name} [{ctx}]: a shard-invariant counter diverged"
-    );
-}
-
-/// The acceptance sweep: every canonical workload × K ∈ {1,2,3,4,8} ×
-/// (FIFO + 6 random schedules), all compared against the K=1 FIFO
-/// simulator run. Answers and every invariant counter bit-identical.
+/// A broadcast-verdict node never splits: its fan-out stays 1 at any K
+/// (its output replicates to peers instead).
 #[test]
-fn shard_invariance_sweep_across_k_and_schedules() {
-    for w in CANONICAL {
-        let baseline = engine_for(w).evaluate().unwrap();
-        assert!(!rows(&baseline).is_empty(), "{}: empty baseline", w.name);
-        let mut any_routed = false;
-        for &k in KS {
-            let fifo = engine_for(w)
-                .with_shards(k)
-                .evaluate()
-                .unwrap_or_else(|e| panic!("{} K={k} fifo: {e}", w.name));
-            assert_invariant(w.name, &format!("K={k} fifo"), &baseline, &fifo);
-            if k == 1 {
-                assert_eq!(
-                    fifo.stats.shard_routed_frames, 0,
-                    "{}: shard router engaged at K=1",
-                    w.name
-                );
-            }
-            any_routed |= fifo.stats.shard_routed_frames > 0;
-            for seed in 0..6u64 {
-                let r = engine_for(w)
-                    .with_shards(k)
-                    .with_runtime(RuntimeKind::Sim(Schedule::Random(seed)))
-                    .evaluate()
-                    .unwrap_or_else(|e| panic!("{} K={k} seed {seed}: {e}", w.name));
-                assert_invariant(w.name, &format!("K={k} seed {seed}"), &baseline, &r);
-            }
-        }
-        assert!(
-            any_routed,
-            "{}: no K ever routed a frame across a shard link — the sweep is vacuous",
-            w.name
-        );
-    }
-}
-
-/// The worker-pool runtime at K=4 agrees with the K=1 simulator on
-/// answers and invariant counters: hash routing is deterministic, so
-/// both runtimes split traffic identically.
-#[test]
-fn threaded_runtime_agrees_at_k4() {
-    for w in CANONICAL {
-        let baseline = engine_for(w).evaluate().unwrap();
-        let r = engine_for(w)
-            .with_shards(4)
-            .with_runtime(RuntimeKind::Threads)
-            .with_budget(mp_engine::QueryBudget::new().with_deadline(Duration::from_secs(60)))
-            .evaluate()
-            .unwrap_or_else(|e| panic!("{} threads K=4: {e}", w.name));
-        assert_invariant(w.name, "threads K=4", &baseline, &r);
-    }
-}
-
-/// 16-seed chaos sweep at K=4: wire faults on every link (including the
-/// shard links and the captain tree), answers and logical counters
-/// bit-identical to the clean unsharded run, and the recorded trace
-/// passes the full MP301–MP310 suite with `(node, shard)` instances as
-/// actors.
-#[test]
-fn chaos_sweep_16_seeds_at_k4_is_trace_clean() {
-    for w in CANONICAL {
-        let baseline = engine_for(w).evaluate().unwrap();
-        for seed in 0..16u64 {
-            let r = engine_for(w)
-                .with_shards(4)
-                .with_fault_plan(FaultPlan::seeded(seed))
-                .with_trace(true)
-                .evaluate()
-                .unwrap_or_else(|e| panic!("{} K=4 seed {seed}: {e}", w.name));
-            assert_invariant(w.name, &format!("chaos K=4 seed {seed}"), &baseline, &r);
-            assert!(
-                r.stats.faults_injected() > 0,
-                "{} seed {seed}: the plan never fired — sweep is vacuous",
-                w.name
-            );
-            let events = r.events.as_ref().expect("tracing was enabled");
-            let diags = mp_trace::check(events);
-            assert!(
-                diags.is_empty(),
-                "{} K=4 seed {seed}: trace violations:\n{:?}",
-                w.name,
-                diags
-            );
-        }
-    }
-}
-
-/// Find the physical id of a shard *sibling* (shard index > 0) in the
-/// network the engine will compile for this workload at K shards.
-fn a_shard_sibling(w: &Canonical, k: usize) -> Option<usize> {
-    let engine = engine_for(w).with_shards(k);
-    let graph = engine.compile().expect("compiles").graph;
-    let parts = mp_analyze::plan::partition_keys(&graph);
-    let plan = ShardPlan {
-        shards: k,
-        fan_out: mp_analyze::shard_fan_outs(&graph, &parts, k),
-    };
-    let network = Network::compile_sharded(&graph, engine.database(), &plan);
-    assert_eq!(network.shards, k);
-    network.shard_of.iter().position(|&(_, s)| s > 0)
-}
-
-/// Crash one shard *instance* (not the whole logical node) mid-run and
-/// recover it by durable-log replay: the other K-1 instances keep their
-/// state, the reborn sibling rejoins the captain's wave, and the run
-/// stays answer- and counter-invariant.
-#[test]
-fn crash_replay_of_one_shard_instance() {
-    for w in CANONICAL {
-        let baseline = engine_for(w).evaluate().unwrap();
-        let sibling =
-            a_shard_sibling(w, 4).unwrap_or_else(|| panic!("{}: no node sharded at K=4", w.name));
-        for seed in 0..4u64 {
-            let r = engine_for(w)
-                .with_shards(4)
-                .with_fault_plan(FaultPlan::seeded(seed).with_crash(sibling, 2))
-                .with_trace(true)
-                .evaluate()
-                .unwrap_or_else(|e| panic!("{} K=4 crash seed {seed}: {e}", w.name));
-            assert_invariant(w.name, &format!("crash seed {seed}"), &baseline, &r);
-            assert!(
-                r.stats.crashes > 0,
-                "{} seed {seed}: the scheduled crash never fired",
-                w.name
-            );
-            let diags = mp_trace::check(r.events.as_ref().unwrap());
-            assert!(
-                diags.is_empty(),
-                "{} K=4 crash seed {seed}: trace violations:\n{:?}",
-                w.name,
-                diags
-            );
-        }
-    }
-}
-
-/// A broadcast-verdict node at K=4 must deliver each logical tuple
-/// exactly once per peer even when the wire duplicates frames: the
-/// transport dedups (visible as `dups_discarded > 0`), the logical
-/// counters match the clean unsharded run, and the analysis reports
-/// fan-out 1 for the broadcast node — broadcast output replicates to
-/// peers, the node itself never splits.
-#[test]
-fn broadcast_node_delivers_exactly_once_per_peer_at_k4() {
-    let src = "p(X, Y) :- s(X, Y).
-               s(X, Y) :- a(X, Y), flag(Z).
-               ?- p(1, Y).";
-    let mk = || {
-        let program = parse_program(src).unwrap();
-        let mut db = Database::new();
-        for (x, y) in [(1, 2), (1, 3), (2, 4)] {
-            db.insert("a", tuple![x, y]).unwrap();
-        }
-        for z in [7, 8] {
-            db.insert("flag", tuple![z]).unwrap();
-        }
-        Engine::new(program, db)
-    };
-
-    // The analysis side of the contract: the program has a broadcast
-    // node, and its fan-out stays 1 at any K.
-    let graph = mk().compile().unwrap().graph;
+fn broadcast_nodes_never_shard() {
+    let program = parse_program(
+        "a(1, 2). a(1, 3). a(2, 4). flag(7). flag(8).
+         p(X, Y) :- s(X, Y).
+         s(X, Y) :- a(X, Y), flag(Z).
+         ?- p(1, Y).",
+    )
+    .unwrap();
+    let graph = Engine::new(program, Database::new())
+        .compile()
+        .unwrap()
+        .graph;
     let parts = mp_analyze::plan::partition_keys(&graph);
     let fan = mp_analyze::shard_fan_outs(&graph, &parts, 4);
     let broadcast: Vec<usize> = parts
@@ -326,30 +46,6 @@ fn broadcast_node_delivers_exactly_once_per_peer_at_k4() {
     for &i in &broadcast {
         assert_eq!(fan[i], 1, "broadcast nodes must not shard");
     }
-
-    let baseline = mk().evaluate().unwrap();
-    assert!(!rows(&baseline).is_empty());
-    for seed in 0..8u64 {
-        // Duplication-heavy plan: no drops or corruption, just copies
-        // and reordering — the pure exactly-once stressor.
-        let mut plan = FaultPlan::seeded(seed);
-        plan.drop = 0.0;
-        plan.duplicate = 0.35;
-        plan.corrupt = 0.0;
-        let r = mk()
-            .with_shards(4)
-            .with_fault_plan(plan)
-            .with_trace(true)
-            .evaluate()
-            .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-        assert_invariant("broadcast", &format!("seed {seed}"), &baseline, &r);
-        assert!(
-            r.stats.dups_discarded > 0,
-            "seed {seed}: no duplicate ever reached a receiver — the test is vacuous"
-        );
-        let diags = mp_trace::check(r.events.as_ref().unwrap());
-        assert!(diags.is_empty(), "seed {seed}: {diags:?}");
-    }
 }
 
 /// Compile-layer shape: the physical network at K shards has one
@@ -358,8 +54,7 @@ fn broadcast_node_delivers_exactly_once_per_peer_at_k4() {
 /// the unsharded EDB exactly.
 #[test]
 fn compiled_shard_layout_is_sound() {
-    let w = &CANONICAL[0];
-    let engine = engine_for(w).with_shards(3);
+    let engine = tc_chain().with_shards(3);
     let graph = engine.compile().unwrap().graph;
     let parts = mp_analyze::plan::partition_keys(&graph);
     let fan_out = mp_analyze::shard_fan_outs(&graph, &parts, 3);
@@ -443,6 +138,6 @@ fn mp108_warns_when_sharding_cannot_engage() {
     assert!(compiled.warnings.iter().all(|d| d.code.as_str() != "MP108"));
 
     // …and silent when a node really can split.
-    let compiled = engine_for(&CANONICAL[0]).with_shards(4).compile().unwrap();
+    let compiled = tc_chain().with_shards(4).compile().unwrap();
     assert!(compiled.warnings.iter().all(|d| d.code.as_str() != "MP108"));
 }

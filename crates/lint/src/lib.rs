@@ -444,23 +444,6 @@ pub fn sort_diagnostics(diags: &mut [Diagnostic]) {
     });
 }
 
-/// Run every pass that applies before graph construction plus the graph
-/// and protocol passes on the built artifact. The one-stop entry used by
-/// `Engine::compile`.
-pub fn lint_all(
-    program: &mp_datalog::Program,
-    db: Option<&mp_datalog::Database>,
-    graph: Option<&mp_rulegoal::RuleGoalGraph>,
-) -> Vec<Diagnostic> {
-    let mut diags = program::lint_program(program, db, None);
-    if let Some(g) = graph {
-        diags.extend(graph::lint_graph(g));
-        diags.extend(protocol::lint_protocol(&protocol::ProtocolView::of(g)));
-    }
-    sort_diagnostics(&mut diags);
-    diags
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -15,9 +15,11 @@
 //!                                 by partition-key hash (answers are
 //!                                 bit-identical to --shards 1; MP108
 //!                                 warns when no node can split)
-//!   --batching                    package tuple requests (§3.1 fn 2)
-//!   --batch-size N                tuples per data-plane frame (implies
-//!                                 --batching; 1 = scalar framing)
+//!   --batch-size N                tuples per data-plane frame: above
+//!                                 1, tuple requests, answers and ends
+//!                                 are packaged per arc (§3.1 fn 2);
+//!                                 1 (the default) = scalar framing
+//!   --batching                    shorthand for --batch-size 64
 //!   --chaos SEED                  inject seeded link faults (drop,
 //!                                 duplicate, delay, corrupt) and rely
 //!                                 on the recovery transport
@@ -37,9 +39,9 @@
 //!                                 instead of evaluating
 //!   --explain                     compile only: print analysis warnings
 //!                                 and the annotated plan (per-node
-//!                                 cardinality/volume estimates, batch
-//!                                 hints, partition keys, and the shard
-//!                                 fan-out each node gets at --shards K)
+//!                                 cardinality/volume estimates,
+//!                                 partition keys, and the shard fan-out
+//!                                 each node gets at --shards K)
 //!   --trace FILE                  record the clock-stamped event trace
 //!                                 and write it (mptrace v1 text) to
 //!                                 FILE; `-` writes to stderr
@@ -64,7 +66,6 @@ struct Options {
     runtime: RuntimeKind,
     workers: Option<usize>,
     shards: Option<usize>,
-    batching: bool,
     batch_size: Option<usize>,
     chaos: Option<u64>,
     recovery: bool,
@@ -87,7 +88,6 @@ fn parse_args() -> Result<Options, String> {
         runtime: RuntimeKind::Sim(Schedule::Fifo),
         workers: None,
         shards: None,
-        batching: false,
         batch_size: None,
         chaos: None,
         recovery: true,
@@ -138,7 +138,9 @@ fn parse_args() -> Result<Options, String> {
                 }
                 opts.shards = Some(k);
             }
-            "--batching" => opts.batching = true,
+            "--batching" => {
+                opts.batch_size.get_or_insert(64);
+            }
             "--batch-size" => {
                 let v = args.next().ok_or("--batch-size needs a value")?;
                 let n: usize = v.parse().map_err(|_| format!("bad batch size `{v}`"))?;
@@ -146,7 +148,6 @@ fn parse_args() -> Result<Options, String> {
                     return Err("--batch-size must be at least 1".to_string());
                 }
                 opts.batch_size = Some(n);
-                opts.batching = true;
             }
             "--chaos" => {
                 let v = args.next().ok_or("--chaos needs a seed")?;
@@ -282,7 +283,6 @@ fn main() -> ExitCode {
     let mut engine = Engine::new(program, db)
         .with_sip(opts.sip)
         .with_runtime(opts.runtime)
-        .with_batching(opts.batching)
         .with_recovery(opts.recovery)
         .with_trace(tracing);
     if let Some(n) = opts.workers {

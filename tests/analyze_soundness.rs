@@ -4,14 +4,12 @@
 //! claims must be *proved against the concrete semantics*, not spot
 //! checked: the sort fixpoint over-approximates the least model (every
 //! concretely derived value lies inside its column's inferred sort, and
-//! every concretely non-empty predicate is in the live set), and pruning
-//! is answer-preserving on both runtimes — with and without injected
-//! faults.
+//! every concretely non-empty predicate is in the live set). That
+//! pruning preserves answers — on both runtimes, with and without
+//! injected faults — is the `analysis` axis of `tests/invariance.rs`.
 
 use mp_framework::analyze::{analyze, AnalyzeOptions, SortAnalysis};
-use mp_framework::datalog::parser::parse_rule;
 use mp_framework::datalog::{Database, Predicate, Program, Term, Var};
-use mp_framework::engine::{Engine, FaultPlan, RuntimeKind, Schedule};
 use mp_framework::rulegoal::{RuleGoalGraph, SipKind};
 use mp_framework::storage::{Tuple, Value};
 use mp_framework::workloads::random_programs::{generate, is_interesting, ProgramSpec};
@@ -136,153 +134,4 @@ fn sort_inference_covers_the_least_model() {
         }
     }
     assert!(tested > 80, "only {tested} interesting programs out of 200");
-}
-
-/// Append a provably-dead recursive rule (its `ghost` subgoal has no
-/// facts and no rules) so analysis pruning has something real to cut.
-fn with_ghost_rule(program: &Program) -> Program {
-    let mut p = program.clone();
-    let head = &p.rules[0].head;
-    let vars: Vec<String> = (0..head.arity()).map(|i| format!("Zz{i}")).collect();
-    let args = vars.join(", ");
-    let rule = if vars.is_empty() {
-        format!("{} :- ghost(W0, W1).", head.pred)
-    } else {
-        format!("{}({args}) :- ghost(W0, {}).", head.pred, args)
-    };
-    p.rules.push(parse_rule(&rule).expect("ghost rule parses"));
-    p
-}
-
-/// Pruning on vs off: bit-identical answers on the deterministic
-/// simulator, for the generator's programs both as-is and with a ghost
-/// rule grafted on (forcing a nonzero prune on every program).
-#[test]
-fn pruning_on_and_off_agree_on_random_programs() {
-    let spec = ProgramSpec::default();
-    let mut tested = 0;
-    let mut pruned_hits = 0;
-    for seed in 0..120 {
-        let (program, db) = generate(&spec, seed);
-        if !is_interesting(&program, &db) {
-            continue;
-        }
-        tested += 1;
-        for program in [program.clone(), with_ghost_rule(&program)] {
-            let on = Engine::new(program.clone(), db.clone())
-                .evaluate()
-                .unwrap_or_else(|e| panic!("prune-on failed on seed {seed}: {e}\n{program}"));
-            let off = Engine::new(program.clone(), db.clone())
-                .with_analysis(false)
-                .evaluate()
-                .unwrap_or_else(|e| panic!("prune-off failed on seed {seed}: {e}\n{program}"));
-            assert_eq!(
-                on.answers.sorted_rows(),
-                off.answers.sorted_rows(),
-                "seed {seed}: pruning changed the answers\n{program}"
-            );
-            assert_eq!((on.engine_ends, on.post_end_answers), (1, 0));
-            if on.stats.pruned_nodes > 0 {
-                pruned_hits += 1;
-                assert!(on.graph_nodes < off.graph_nodes, "prune shrank nothing");
-            }
-        }
-    }
-    assert!(tested > 50, "only {tested} interesting programs out of 120");
-    // Every ghost-rule variant must actually have been pruned.
-    assert!(pruned_hits >= tested, "ghost rules were not pruned");
-}
-
-/// Within each prune setting, the worker-pool runtime reproduces the
-/// simulator's answers *and* its batching-invariant logical counters
-/// (Thm 4.1 schedule-invariance survives the pruning).
-#[test]
-fn pruned_graphs_are_schedule_invariant_across_runtimes() {
-    let spec = ProgramSpec {
-        idb_preds: 2,
-        max_body: 2,
-        facts_per_relation: 8,
-        ..ProgramSpec::default()
-    };
-    let mut tested = 0;
-    for seed in 0..25 {
-        let (program, db) = generate(&spec, seed);
-        if !is_interesting(&program, &db) {
-            continue;
-        }
-        tested += 1;
-        let program = with_ghost_rule(&program);
-        for prune in [true, false] {
-            let sim = Engine::new(program.clone(), db.clone())
-                .with_analysis(prune)
-                .evaluate()
-                .unwrap_or_else(|e| panic!("sim failed on seed {seed}: {e}\n{program}"));
-            let pool = Engine::new(program.clone(), db.clone())
-                .with_analysis(prune)
-                .with_runtime(RuntimeKind::Threads)
-                .evaluate()
-                .unwrap_or_else(|e| panic!("pool failed on seed {seed}: {e}\n{program}"));
-            assert_eq!(
-                sim.answers.sorted_rows(),
-                pool.answers.sorted_rows(),
-                "seed {seed} prune={prune}: runtimes disagree\n{program}"
-            );
-            assert_eq!(
-                (
-                    sim.stats.logical_tuple_requests,
-                    sim.stats.logical_answers,
-                    sim.stats.logical_end_tuple_requests,
-                ),
-                (
-                    pool.stats.logical_tuple_requests,
-                    pool.stats.logical_answers,
-                    pool.stats.logical_end_tuple_requests,
-                ),
-                "seed {seed} prune={prune}: logical counters diverged\n{program}"
-            );
-            assert_eq!(sim.stats.pruned_nodes, pool.stats.pruned_nodes);
-        }
-    }
-    assert!(tested >= 5, "only {tested} interesting programs out of 25");
-}
-
-/// Chaos sweep: eight fault seeds against a pruned recursive program.
-/// Faults (drop/duplicate/delay/corrupt) plus the recovery transport must
-/// not interact with pruning — the fault-free answers come back every
-/// time, with exactly one End and nothing after it.
-#[test]
-fn pruning_survives_chaos_sweep() {
-    let program = mp_framework::datalog::parser::parse_program(
-        "path(X, Y) :- edge(X, Y).
-         path(X, Z) :- path(X, Y), edge(Y, Z).
-         path(X, Y) :- ghost(X, W), path(W, Y).
-         ?- path(0, Z).",
-    )
-    .unwrap();
-    let mut db = Database::new();
-    for i in 0..8i64 {
-        db.insert("edge", mp_framework::storage::tuple![i, i + 1])
-            .unwrap();
-        db.insert("edge", mp_framework::storage::tuple![i, (i * 5) % 8])
-            .unwrap();
-    }
-    let clean = Engine::new(program.clone(), db.clone()).evaluate().unwrap();
-    assert!(clean.stats.pruned_nodes > 0, "ghost rule must be pruned");
-    assert!(!clean.answers.is_empty());
-
-    for fault_seed in 0..8u64 {
-        let chaotic = Engine::new(program.clone(), db.clone())
-            .with_runtime(RuntimeKind::Sim(Schedule::Random(fault_seed)))
-            .with_fault_plan(FaultPlan::seeded(fault_seed))
-            .evaluate()
-            .unwrap_or_else(|e| panic!("chaos seed {fault_seed} failed: {e}"));
-        assert_eq!(
-            chaotic.answers.sorted_rows(),
-            clean.answers.sorted_rows(),
-            "chaos seed {fault_seed} diverged"
-        );
-        assert_eq!(chaotic.engine_ends, 1, "chaos seed {fault_seed}");
-        assert_eq!(chaotic.post_end_answers, 0, "chaos seed {fault_seed}");
-        assert_eq!(chaotic.stats.pruned_nodes, clean.stats.pruned_nodes);
-    }
 }

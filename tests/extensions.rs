@@ -25,7 +25,7 @@ fn batching_preserves_answers_on_all_workloads() {
             .evaluate()
             .unwrap();
         let batched = Engine::new(w.program.clone(), w.db.clone())
-            .with_batching(true)
+            .with_batch_size(64)
             .evaluate()
             .unwrap();
         assert_eq!(
@@ -48,7 +48,7 @@ fn batching_reduces_request_messages_on_fanout() {
         .evaluate()
         .unwrap();
     let batched = Engine::new(w.program.clone(), w.db.clone())
-        .with_batching(true)
+        .with_batch_size(64)
         .evaluate()
         .unwrap();
     let plain_reqs = plain.stats.tuple_requests;
@@ -72,7 +72,7 @@ fn batching_survives_random_schedules_and_threads() {
         .sorted_rows();
     for seed in 0..8 {
         let got = Engine::new(w.program.clone(), w.db.clone())
-            .with_batching(true)
+            .with_batch_size(64)
             .with_runtime(RuntimeKind::Sim(Schedule::Random(seed)))
             .evaluate()
             .unwrap()
@@ -81,7 +81,7 @@ fn batching_survives_random_schedules_and_threads() {
         assert_eq!(got, expect, "seed {seed}");
     }
     let threaded = Engine::new(w.program.clone(), w.db.clone())
-        .with_batching(true)
+        .with_batch_size(64)
         .with_runtime(RuntimeKind::Threads)
         .evaluate()
         .unwrap();
@@ -98,7 +98,7 @@ fn batching_agrees_on_random_programs() {
         }
         let expect = Naive.evaluate(&program, &db).unwrap().answers.sorted_rows();
         let got = Engine::new(program.clone(), db.clone())
-            .with_batching(true)
+            .with_batch_size(64)
             .evaluate()
             .unwrap_or_else(|e| panic!("seed {seed}: {e}\n{program}"))
             .answers

@@ -1,14 +1,15 @@
 //! One loaded database, many queries: `Database::clone` shares the rows
-//! and their catalogue, so evaluating on clones must be indistinguishable
-//! from evaluating on databases built independently — same answers, same
-//! seven schedule-invariant logical counters — on the simulator (FIFO)
-//! and on the worker pool (2 workers). A write to the caller's database
-//! must show in the next evaluation and never in an engine built before
-//! it, and two engines may fill one cold catalogue at the same time.
+//! and their catalogue. That evaluating on clones is indistinguishable
+//! from evaluating on databases built independently is checked by
+//! `tests/invariance.rs`; here are the two facts about *sharing*: a
+//! write to the caller's database shows in the next evaluation and never
+//! in an engine built before it, and two engines may fill one cold
+//! catalogue at the same time — on the simulator (FIFO) and on the
+//! worker pool (2 workers).
 
 use mp_framework::baselines::{Evaluator, MagicSets};
 use mp_framework::datalog::{Database, Program};
-use mp_framework::engine::{Engine, QueryBudget, QueryResult, RuntimeKind, Schedule, Stats};
+use mp_framework::engine::{Engine, QueryBudget, QueryResult, RuntimeKind, Schedule};
 use mp_framework::storage::{tuple, Tuple};
 use mp_framework::workloads::{scenarios, Workload};
 use std::sync::Barrier;
@@ -61,47 +62,6 @@ fn rebuilt(db: &Database) -> Database {
     out
 }
 
-fn logical_counters(s: &Stats) -> [u64; 7] {
-    [
-        s.logical_tuple_requests,
-        s.logical_answers,
-        s.logical_end_tuple_requests,
-        s.derived_tuples,
-        s.stored_tuples,
-        s.goal_stored,
-        s.join_probes,
-    ]
-}
-
-fn clones_match_independent_builds(runtime: RuntimeKind) {
-    for (w, _) in workloads() {
-        let reference = run(&w.name, &engine(&w.program, rebuilt(&w.db), runtime));
-        assert_eq!(
-            reference.answers.sorted_rows(),
-            oracle(&w.program, &w.db),
-            "{}: reference answers",
-            w.name
-        );
-        // The first clone fills the catalogue; the later ones read it.
-        for round in 0..4 {
-            let ctx = format!("{} {runtime:?} clone {round}", w.name);
-            let r = run(&ctx, &engine(&w.program, w.db.clone(), runtime));
-            assert_eq!(r.engine_ends, 1, "{ctx}: engine_ends");
-            assert_eq!(r.post_end_answers, 0, "{ctx}: answers after End");
-            assert_eq!(
-                r.answers.sorted_rows(),
-                reference.answers.sorted_rows(),
-                "{ctx}: answers"
-            );
-            assert_eq!(
-                logical_counters(&r.stats),
-                logical_counters(&reference.stats),
-                "{ctx}: logical counters"
-            );
-        }
-    }
-}
-
 fn a_write_shows_in_the_next_evaluation_only(runtime: RuntimeKind) {
     for (w, base) in workloads() {
         let ctx = format!("{} {runtime:?}", w.name);
@@ -133,16 +93,6 @@ fn a_write_shows_in_the_next_evaluation_only(runtime: RuntimeKind) {
 
 // One test per (runtime, property), named by runtime so the TSan job can
 // select the pool's.
-
-#[test]
-fn sim_clones_match_independent_builds() {
-    clones_match_independent_builds(SIM);
-}
-
-#[test]
-fn pool_clones_match_independent_builds() {
-    clones_match_independent_builds(POOL);
-}
 
 #[test]
 fn sim_a_write_shows_in_the_next_evaluation_only() {
