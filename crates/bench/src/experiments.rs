@@ -102,7 +102,6 @@ crate::impl_row!(A1Row {
     workload,
     plain_requests,
     batched_requests,
-    packages,
     plain_total,
     batched_total,
 });
@@ -721,12 +720,11 @@ pub fn e9(scale: Scale) -> Vec<E9Row> {
 pub struct A1Row {
     /// Workload.
     pub workload: String,
-    /// Request messages without batching.
+    /// Request frames at batch size 1 — one per binding, so also the
+    /// logical request count at either size.
     pub plain_requests: u64,
-    /// Request messages (singles + packages) with batching.
+    /// Request frames at batch size 64.
     pub batched_requests: u64,
-    /// Packages actually formed.
-    pub packages: u64,
     /// Total messages without batching.
     pub plain_total: u64,
     /// Total messages with batching.
@@ -754,11 +752,15 @@ pub fn a1(scale: Scale) -> Vec<A1Row> {
             .evaluate()
             .expect("batched");
         assert_eq!(plain.answers, batched.answers, "{}", w.name);
+        assert_eq!(
+            plain.stats.tuple_requests, batched.stats.logical_tuple_requests,
+            "{}",
+            w.name
+        );
         rows.push(A1Row {
             workload: w.name,
             plain_requests: plain.stats.tuple_requests,
-            batched_requests: batched.stats.tuple_requests + batched.stats.tuple_request_batches,
-            packages: batched.stats.tuple_request_batches,
+            batched_requests: batched.stats.tuple_requests,
             plain_total: plain.stats.total_messages(),
             batched_total: batched.stats.total_messages(),
         });
@@ -1793,13 +1795,15 @@ mod tests {
             .iter()
             .find(|r| r.workload.starts_with("tc-random"))
             .unwrap();
-        assert!(random.packages > 0);
         assert!(random.batched_requests < random.plain_requests);
         let chain = rows
             .iter()
             .find(|r| r.workload.starts_with("tc-chain"))
             .unwrap();
-        assert_eq!(chain.packages, 0, "chains have nothing to package");
+        assert_eq!(
+            chain.batched_requests, chain.plain_requests,
+            "chains have nothing to package"
+        );
     }
 
     #[test]

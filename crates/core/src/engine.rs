@@ -2,9 +2,7 @@
 
 use crate::fault::FaultPlan;
 use crate::node::{Network, ShardPlan};
-use crate::runtime::{
-    CancelToken, QueryBudget, RuntimeError, Schedule, SimOutcome, SimRuntime, ThreadRuntime,
-};
+use crate::runtime::{CancelToken, QueryBudget, RuntimeError, Schedule, SimRuntime, ThreadRuntime};
 use crate::stats::Stats;
 use mp_datalog::analysis::DependencyAnalysis;
 use mp_datalog::{Atom, Database, DatalogError, Predicate, Program, Rule, Term, Var};
@@ -279,8 +277,8 @@ impl Engine {
 
     /// Set the per-arc batch flush bound (default 1, clamped to ≥ 1).
     /// At 1 every tuple request, answer and per-binding end is its own
-    /// message — the scalar framing. Above 1 they are packaged one batch
-    /// per arc (§3.1 footnote 2): a buffer reaching this size is flushed
+    /// frame. Above 1 they are packaged per arc into frames of the same
+    /// kind (§3.1 footnote 2): a buffer reaching this size is flushed
     /// mid-turn, smaller buffers flush when their node's mailbox drains.
     /// Semantically transparent — the logical message counts and Thm 3.1
     /// observables are identical at every size — while physical frame
@@ -478,7 +476,6 @@ impl Engine {
         let compiled = self.compile()?;
         let graph = compiled.graph;
         let mut network = Network::compile_sharded(&graph, &self.db, &self.shard_plan(&graph));
-        network.set_batching(self.batch_size > 1);
         network.set_batch_max(self.batch_size);
         let out = match self.runtime {
             RuntimeKind::Sim(schedule) => {
@@ -512,17 +509,7 @@ impl Engine {
                     budget: self.budget.clone(),
                     cancel: self.cancel.clone(),
                 };
-                let out = rt.run(network)?;
-                // The pool keeps no message log; the rest is the
-                // simulator's outcome field for field.
-                SimOutcome {
-                    answers: out.answers,
-                    stats: out.stats,
-                    trace: None,
-                    events: out.events,
-                    engine_ends: out.engine_ends,
-                    post_end_answers: out.post_end_answers,
-                }
+                rt.run(network)?
             }
         };
         let mut stats = out.stats;
@@ -1080,7 +1067,7 @@ mod tests {
         assert!(!trace.is_empty());
         assert!(trace
             .iter()
-            .any(|m| matches!(m.payload, crate::msg::Payload::Answer { .. })));
+            .any(|m| matches!(m.payload, crate::msg::Payload::Answers(_))));
     }
 
     #[test]

@@ -22,12 +22,12 @@
 //!
 //! The transport frames one [`Msg`] per sequence number, whatever its
 //! payload. Message batching therefore composes with this layer for
-//! free: a `TupleRequestBatch`/`AnswerBatch`/`EndTupleRequestBatch` is
-//! one frame — one seq, one ack, one checksum, one drop/duplicate/delay
-//! decision — amortizing transport overhead over every tuple it
-//! carries, and a dropped batch is retransmitted whole so per-arc FIFO
-//! and exactly-once delivery hold for the batch exactly as for a scalar
-//! message.
+//! free: a `TupleRequests`/`Answers`/`EndTupleRequests` message is one
+//! frame however many items it packs — one seq, one ack, one checksum,
+//! one drop/duplicate/delay decision — amortizing transport overhead
+//! over every tuple it carries, and a dropped frame is retransmitted
+//! whole so per-arc FIFO and exactly-once delivery hold for sixty-four
+//! items exactly as for one.
 //!
 //! Crash/recovery semantics are write-ahead-log style (see DESIGN.md):
 //! a crash destroys a node's volatile computation state (temporary

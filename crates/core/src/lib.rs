@@ -41,6 +41,6 @@ pub mod termination;
 
 pub use engine::{evaluate_str, Compiled, Engine, EngineError, QueryResult, RuntimeKind};
 pub use fault::{CrashPoint, FaultPlan};
-pub use msg::{Endpoint, Msg, Payload};
+pub use msg::{Endpoint, Msg, Pack, Payload};
 pub use runtime::{CancelToken, QueryBudget, Schedule};
 pub use stats::{LogicalCounters, Stats};

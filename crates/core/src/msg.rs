@@ -33,6 +33,58 @@ impl fmt::Display for Endpoint {
     }
 }
 
+/// The items of one tuple-carrying frame, in send order. The only code
+/// that knows a frame may hold one item or several: a single item
+/// travels inline, because a `Vec` of one on every frame is a
+/// malloc/free per message (measured +12 % `op_ms_p50` on the
+/// benchmark's `tc-fanout`; see DESIGN.md "Batched frames").
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Pack {
+    /// One item.
+    One(Tuple),
+    /// Several items.
+    Many(Vec<Tuple>),
+}
+
+impl Pack {
+    /// Drain an arc buffer into a frame's worth of items, or `None` if
+    /// it is empty. A singleton is popped, so the buffer keeps its
+    /// capacity for the next push.
+    pub fn take(buf: &mut Vec<Tuple>) -> Option<Pack> {
+        match buf.len() {
+            0 => None,
+            1 => buf.pop().map(Pack::One),
+            _ => Some(Pack::Many(std::mem::take(buf))),
+        }
+    }
+}
+
+/// The items as a slice, in send order (so `len()` is the number of
+/// logical items carried).
+impl std::ops::Deref for Pack {
+    type Target = [Tuple];
+
+    fn deref(&self) -> &[Tuple] {
+        match self {
+            Pack::One(t) => std::slice::from_ref(t),
+            Pack::Many(ts) => ts,
+        }
+    }
+}
+
+impl IntoIterator for Pack {
+    type Item = Tuple;
+    type IntoIter = std::iter::Chain<std::option::IntoIter<Tuple>, std::vec::IntoIter<Tuple>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        let (one, many) = match self {
+            Pack::One(t) => (Some(t), Vec::new()),
+            Pack::Many(ts) => (None, ts),
+        };
+        one.into_iter().chain(many)
+    }
+}
+
 /// Message payloads. Since every subgoal occurrence has its own node, the
 /// `(from, to)` pair identifies the arc a message travels on.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -42,56 +94,25 @@ pub enum Payload {
     /// computation and identifies the classes of the arguments" (§3.1).
     /// Classes are static here, so the message carries nothing.
     RelationRequest,
-    /// One binding for all the feeder's class-`d` arguments. The unit
-    /// tuple when the feeder's adornment has no `d` positions.
-    TupleRequest {
-        /// Values aligned with the feeder label's `d` positions.
-        binding: Tuple,
-    },
-    /// A packaged set of tuple requests (§3.1 footnote 2: "a further
-    /// enhancement would be to 'package' a set of related tuple
-    /// requests, in case the node servicing the request can gain some
-    /// efficiency of volume"). Semantically identical to sending each
-    /// binding separately; sent when batching is enabled and one message
-    /// produced several requests for the same arc.
-    TupleRequestBatch {
-        /// The bindings, each aligned with the feeder's `d` positions.
-        bindings: Vec<Tuple>,
-    },
+    /// Tuple requests: each item is one binding for all the feeder's
+    /// class-`d` arguments, aligned with the feeder label's `d` positions
+    /// (the unit tuple when the adornment has none). Several bindings in
+    /// one frame are §3.1 footnote 2's "package" of related requests;
+    /// the meaning is that of sending each binding on its own, in order.
+    TupleRequests(Pack),
     /// No further tuple requests will ever be sent on this arc.
     EndOfRequests,
 
     // ---- upward: feeder → customer (with the arcs) ----
-    /// A derived tuple, aligned with the feeder label's transmitted
-    /// (non-`e`) positions.
-    Answer {
-        /// The tuple.
-        tuple: Tuple,
-    },
-    /// A packaged set of answers for one arc — the upward dual of
-    /// [`Payload::TupleRequestBatch`] (§3.1 footnote 2's "efficiency of
-    /// volume"). Semantically identical to sending each tuple as its own
-    /// [`Payload::Answer`], in order; one mailbox delivery, one fault-
-    /// transport frame (one seq, one ack, one checksum) amortized over
-    /// all tuples.
-    AnswerBatch {
-        /// The tuples, in the order they would have been sent singly.
-        tuples: Vec<Tuple>,
-    },
-    /// All answers for one previously sent tuple request have been
-    /// delivered ("it can produce no more tuples for a particular tuple
-    /// request", §3.2).
-    EndTupleRequest {
-        /// The binding being completed.
-        binding: Tuple,
-    },
-    /// A packaged set of tuple-request completions for one arc.
-    /// Semantically identical to one [`Payload::EndTupleRequest`] per
-    /// binding, in order.
-    EndTupleRequestBatch {
-        /// The bindings being completed.
-        bindings: Vec<Tuple>,
-    },
+    /// Derived tuples, each aligned with the feeder label's transmitted
+    /// (non-`e`) positions, in the order they were produced. One mailbox
+    /// delivery and one fault-transport frame (one seq, one ack, one
+    /// checksum) however many tuples the frame carries.
+    Answers(Pack),
+    /// All answers for each of these previously sent tuple requests have
+    /// been delivered ("it can produce no more tuples for a particular
+    /// tuple request", §3.2). Items are the bindings being completed.
+    EndTupleRequests(Pack),
     /// The whole stream on this arc is complete.
     End,
 
@@ -183,17 +204,13 @@ impl Payload {
         fn tup(t: &Tuple) -> u64 {
             16 + 8 * t.arity() as u64
         }
-        fn tups(ts: &[Tuple]) -> u64 {
-            24 + ts.iter().map(tup).sum::<u64>()
-        }
         MSG + match self {
-            Payload::TupleRequest { binding } | Payload::EndTupleRequest { binding } => {
-                tup(binding)
+            Payload::TupleRequests(p) | Payload::Answers(p) | Payload::EndTupleRequests(p) => {
+                match p {
+                    Pack::One(t) => tup(t),
+                    Pack::Many(ts) => 24 + ts.iter().map(tup).sum::<u64>(),
+                }
             }
-            Payload::TupleRequestBatch { bindings }
-            | Payload::EndTupleRequestBatch { bindings } => tups(bindings),
-            Payload::Answer { tuple } => tup(tuple),
-            Payload::AnswerBatch { tuples } => tups(tuples),
             _ => 0,
         }
     }
@@ -202,13 +219,10 @@ impl Payload {
     pub fn kind_name(&self) -> &'static str {
         match self {
             Payload::RelationRequest => "relation_request",
-            Payload::TupleRequest { .. } => "tuple_request",
-            Payload::TupleRequestBatch { .. } => "tuple_request_batch",
+            Payload::TupleRequests(_) => "tuple_request",
             Payload::EndOfRequests => "end_of_requests",
-            Payload::Answer { .. } => "answer",
-            Payload::AnswerBatch { .. } => "answer_batch",
-            Payload::EndTupleRequest { .. } => "end_tuple_request",
-            Payload::EndTupleRequestBatch { .. } => "end_tuple_request_batch",
+            Payload::Answers(_) => "answer",
+            Payload::EndTupleRequests(_) => "end_tuple_request",
             Payload::End => "end",
             Payload::EndRequest { .. } => "end_request",
             Payload::EndNegative { .. } => "end_negative",
@@ -249,7 +263,7 @@ mod tests {
         assert!(Payload::SccFinished.is_protocol());
         assert!(Payload::Reborn { epoch: 1 }.is_protocol());
         assert!(Payload::Cancel { wave: 1, epoch: 0 }.is_protocol());
-        assert!(!Payload::Answer { tuple: tuple![1] }.is_protocol());
+        assert!(!Payload::Answers(Pack::One(tuple![1])).is_protocol());
         assert!(!Payload::End.is_protocol());
     }
 
@@ -265,8 +279,42 @@ mod tests {
         let m = Msg {
             from: Endpoint::Node(1),
             to: Endpoint::Node(2),
-            payload: Payload::TupleRequest { binding: tuple![5] },
+            payload: Payload::TupleRequests(Pack::One(tuple![5])),
         };
-        assert_eq!(format!("{m}"), "#1 -> #2: TupleRequest { binding: (5) }");
+        assert_eq!(format!("{m}"), "#1 -> #2: TupleRequests(One((5)))");
+    }
+
+    /// Every mailbox slot, unacked-window entry and durable-log entry
+    /// holds a `Msg`: the packed shape must not grow it (40 and 72 bytes
+    /// with the six scalar/batch variants).
+    #[test]
+    fn the_packed_shape_does_not_grow_a_message() {
+        assert!(std::mem::size_of::<Payload>() <= 40);
+        assert!(std::mem::size_of::<Msg>() <= 72);
+    }
+
+    #[test]
+    fn take_pops_a_singleton_and_keeps_the_buffer() {
+        let mut buf = Vec::with_capacity(8);
+        assert_eq!(Pack::take(&mut buf), None);
+        buf.push(tuple![1]);
+        assert_eq!(Pack::take(&mut buf), Some(Pack::One(tuple![1])));
+        assert!(buf.is_empty());
+        assert_eq!(buf.capacity(), 8);
+    }
+
+    #[test]
+    fn take_and_iteration_keep_push_order() {
+        let items = vec![tuple![3], tuple![1], tuple![2]];
+        let mut buf = items.clone();
+        let pack = Pack::take(&mut buf).unwrap();
+        assert!(buf.is_empty());
+        assert_eq!(pack, Pack::Many(items.clone()));
+        assert_eq!(pack.len(), 3);
+        assert_eq!(&pack[..], &items[..]);
+        assert_eq!(pack.into_iter().collect::<Vec<_>>(), items);
+        let one = Pack::One(tuple![9]);
+        assert_eq!(one.len(), 1);
+        assert_eq!(one.into_iter().collect::<Vec<_>>(), vec![tuple![9]]);
     }
 }

@@ -257,19 +257,18 @@ pub struct Common {
     pub eor_sent_to_feeders: bool,
     /// §3.2 protocol state (members of nontrivial components only).
     pub term: Option<TermState>,
-    /// Package tuple requests, answers, and per-binding ends produced
-    /// while handling one message into one batch per arc (§3.1
-    /// footnote 2).
+    /// Whether [`Network::set_batch_max`] may raise the flush bound
+    /// above 1. Read by that setter only; the node consults `batch_max`.
     pub batching: bool,
-    /// Flush bound: an arc's buffer reaching this size forces a flush
-    /// even mid-turn (the size bound of the flush policy; the turn bound
-    /// is the mailbox-empty flush at the end of every `handle`).
+    /// Flush bound: an arc's buffer reaching this size ships as one
+    /// frame even mid-turn (the size bound of the flush policy; the turn
+    /// bound is the mailbox-empty flush at the end of every `handle`).
+    /// At 1 every item ships at the push, one frame each; above 1 a
+    /// frame packages several (§3.1 footnote 2).
     pub batch_max: usize,
-    /// Per-feeder buffer of requests awaiting the end-of-handle flush
-    /// (only used when `batching` is set).
+    /// Per-feeder buffer of requests awaiting a flush.
     pub batch_buf: Vec<Vec<Tuple>>,
-    /// Per-customer buffer of answers awaiting the end-of-handle flush
-    /// (only used when `batching` is set).
+    /// Per-customer buffer of answers awaiting a flush.
     pub answer_buf: Vec<Vec<Tuple>>,
     /// Per-customer buffer of per-binding ends awaiting the
     /// end-of-handle flush. Flushed after `answer_buf` on the same arc,
@@ -352,19 +351,26 @@ pub struct Network {
 }
 
 impl Network {
-    /// Enable message batching (§3.1 footnote 2) on every process:
-    /// tuple requests downward, answers and per-binding ends upward.
+    /// Allow (`true`, the default) or forbid packaged frames on every
+    /// process. `false` pins the flush bound to 1 whatever
+    /// [`Network::set_batch_max`] is given before or after.
     pub fn set_batching(&mut self, on: bool) {
         for p in &mut self.processes {
             p.common.batching = on;
+            if !on {
+                p.common.batch_max = 1;
+            }
         }
     }
 
-    /// Set the per-arc flush bound on every process (clamped to ≥ 1).
-    /// Only observable when batching is enabled.
+    /// Set the per-arc flush bound on every process (clamped to ≥ 1;
+    /// 1, the default, is one item per frame). Ignored after
+    /// `set_batching(false)`.
     pub fn set_batch_max(&mut self, max: usize) {
         for p in &mut self.processes {
-            p.common.batch_max = max.max(1);
+            if p.common.batching {
+                p.common.batch_max = max.max(1);
+            }
         }
     }
 
@@ -613,8 +619,8 @@ impl Network {
                         relreq_forwarded: false,
                         eor_sent_to_feeders: false,
                         term,
-                        batching: false,
-                        batch_max: 64,
+                        batching: true,
+                        batch_max: 1,
                         batch_buf: vec![Vec::new(); feeder_count],
                         answer_buf: vec![Vec::new(); customer_count],
                         etr_buf: vec![Vec::new(); customer_count],

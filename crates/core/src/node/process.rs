@@ -22,7 +22,7 @@ use super::compile::{
     shard_hash, shard_hash_cols, Behavior, Common, EdbCfg, GoalCfg, GoalState, HeadSource, Process,
     RuleCfg, RuleState, StageSource,
 };
-use crate::msg::{Endpoint, Msg, Payload};
+use crate::msg::{Endpoint, Msg, Pack, Payload};
 use crate::stats::Stats;
 use crate::termination::TermAction;
 use mp_datalog::Term;
@@ -138,82 +138,58 @@ impl Common {
     }
 
     /// Send a tuple request to feeder `i`, tracking cross-arc pendings.
-    /// With batching enabled the request is buffered and flushed (as one
-    /// packaged message per arc) when the current message finishes.
+    /// The request joins the arc's buffer, which ships as one frame when
+    /// it reaches the flush bound or the turn ends.
     fn request_feeder(&mut self, ctx: &mut Ctx<'_>, i: usize, binding: Tuple) {
-        let intra = self.feeders[i].intra;
-        if !intra {
+        if !self.feeders[i].intra {
             self.pending.insert((i, binding.clone()));
         }
-        if self.batching {
-            self.batch_buf[i].push(binding);
-            if self.batch_buf[i].len() >= self.batch_max {
-                self.flush_requests_for(ctx, i);
-            }
-            return;
+        self.batch_buf[i].push(binding);
+        if self.batch_buf[i].len() >= self.batch_max {
+            self.flush_requests_for(ctx, i);
         }
-        let node = self.feeders[i].node;
-        self.send(
-            ctx,
-            Endpoint::Node(node),
-            Payload::TupleRequest { binding },
-            intra,
-        );
     }
 
-    /// Send an answer on customer arc `ci`. With batching enabled the
-    /// tuple is buffered and flushed (as one packaged message per arc)
-    /// by the flush policy below.
+    /// Send an answer on customer arc `ci`, through the arc's buffer.
     fn send_answer(&mut self, ctx: &mut Ctx<'_>, ci: usize, tuple: Tuple) {
         if self.cancelled {
             // MP310: a node that acked a cancel wave never produces
-            // another answer. This chokepoint covers both the scalar
-            // and the batched framing (batches are fed only from here).
+            // another answer. Answer frames are fed only from here.
             return;
         }
-        if self.batching {
-            self.answer_buf[ci].push(tuple);
-            if self.answer_buf[ci].len() >= self.batch_max {
-                self.flush_answers_for(ctx, ci);
-            }
-            return;
+        self.answer_buf[ci].push(tuple);
+        if self.answer_buf[ci].len() >= self.batch_max {
+            self.flush_answers_for(ctx, ci);
         }
-        let (ep, intra) = (self.customers[ci].ep, self.customers[ci].intra);
-        self.send(ctx, ep, Payload::Answer { tuple }, intra);
     }
 
-    /// End one binding on customer arc `ci` (marking it ended). With
-    /// batching enabled the end is buffered; it flushes after the arc's
-    /// answer buffer, so a binding's answers always precede its end.
+    /// End one binding on customer arc `ci` (marking it ended). The end
+    /// flushes after the arc's answer buffer, so a binding's answers
+    /// always precede its end.
     fn send_etr(&mut self, ctx: &mut Ctx<'_>, ci: usize, binding: Tuple) {
         self.customers[ci].ended.insert(binding.clone());
-        if self.batching {
-            self.etr_buf[ci].push(binding);
-            if self.etr_buf[ci].len() >= self.batch_max {
-                self.flush_etrs_for(ctx, ci);
-            }
-            return;
+        self.etr_buf[ci].push(binding);
+        if self.etr_buf[ci].len() >= self.batch_max {
+            self.flush_etrs_for(ctx, ci);
         }
-        let (ep, intra) = (self.customers[ci].ep, self.customers[ci].intra);
-        self.send(ctx, ep, Payload::EndTupleRequest { binding }, intra);
     }
 
     /// Flush policy, turn- and size-bounded. The size bound is enforced
     /// at buffer time: a buffer that reaches `batch_max` ships
-    /// immediately (so `batch_max = 1` degenerates to exactly the scalar
-    /// framing). The turn bound lives here: when the node is about to go
-    /// idle (its mailbox is drained), every partial buffer drains too.
-    /// One plain message for a single item, one packaged message for
-    /// several. Buffering across messages is what gives the
-    /// §3.1-footnote-2 packaging its volume; request pending-tracking
-    /// happens at buffer time and `empty_queues` inspects the buffers,
-    /// so the §3.2 protocol can never declare a node idle while it holds
-    /// unsent traffic.
+    /// immediately (so `batch_max = 1` ships every item at the push, one
+    /// frame each). The turn bound lives here: when the node is about to
+    /// go idle (its mailbox is drained), every partial buffer drains too.
+    /// Buffering across messages is what gives the §3.1-footnote-2
+    /// packaging its volume; request pending-tracking happens at buffer
+    /// time and `empty_queues` inspects the buffers, so the §3.2
+    /// protocol can never declare a node idle while it holds unsent
+    /// traffic. At bound 1 no push leaves anything parked, so the walk
+    /// over every arc is skipped (it ran twice a message and measured
+    /// ~1 % of `sg-bound`'s op).
     fn flush_batches(&mut self, ctx: &mut Ctx<'_>) {
-        if !self.batching || !(ctx.mailbox_empty || ctx.pressure) {
-            return;
+        if self.batch_max > 1 && (ctx.mailbox_empty || ctx.pressure) {
+            self.flush_batches_now(ctx);
         }
-        self.flush_batches_now(ctx);
     }
 
     /// Unconditionally flush every buffer (used before releasing feeders
@@ -232,56 +208,37 @@ impl Common {
 
     /// Ship feeder `i`'s buffered tuple requests as one frame.
     fn flush_requests_for(&mut self, ctx: &mut Ctx<'_>, i: usize) {
-        if self.batch_buf[i].is_empty() {
+        let Some(bindings) = Pack::take(&mut self.batch_buf[i]) else {
             return;
-        }
-        let bindings = std::mem::take(&mut self.batch_buf[i]);
-        let (node, intra) = (self.feeders[i].node, self.feeders[i].intra);
-        let payload = if bindings.len() == 1 {
-            Payload::TupleRequest {
-                binding: bindings.into_iter().next().expect("one binding"),
-            }
-        } else {
-            Payload::TupleRequestBatch { bindings }
         };
-        self.send(ctx, Endpoint::Node(node), payload, intra);
+        let (node, intra) = (self.feeders[i].node, self.feeders[i].intra);
+        self.send(
+            ctx,
+            Endpoint::Node(node),
+            Payload::TupleRequests(bindings),
+            intra,
+        );
     }
 
     /// Ship customer `ci`'s buffered answers as one frame.
     fn flush_answers_for(&mut self, ctx: &mut Ctx<'_>, ci: usize) {
-        if self.answer_buf[ci].is_empty() {
+        let Some(tuples) = Pack::take(&mut self.answer_buf[ci]) else {
             return;
-        }
-        let tuples = std::mem::take(&mut self.answer_buf[ci]);
-        let (ep, intra) = (self.customers[ci].ep, self.customers[ci].intra);
-        let payload = if tuples.len() == 1 {
-            Payload::Answer {
-                tuple: tuples.into_iter().next().expect("one tuple"),
-            }
-        } else {
-            Payload::AnswerBatch { tuples }
         };
-        self.send(ctx, ep, payload, intra);
+        let (ep, intra) = (self.customers[ci].ep, self.customers[ci].intra);
+        self.send(ctx, ep, Payload::Answers(tuples), intra);
     }
 
     /// Ship customer `ci`'s buffered per-binding ends as one frame —
     /// always after that arc's buffered answers, so a binding's answers
     /// precede its end on the wire.
     fn flush_etrs_for(&mut self, ctx: &mut Ctx<'_>, ci: usize) {
-        if self.etr_buf[ci].is_empty() {
+        let Some(bindings) = Pack::take(&mut self.etr_buf[ci]) else {
             return;
-        }
-        self.flush_answers_for(ctx, ci);
-        let bindings = std::mem::take(&mut self.etr_buf[ci]);
-        let (ep, intra) = (self.customers[ci].ep, self.customers[ci].intra);
-        let payload = if bindings.len() == 1 {
-            Payload::EndTupleRequest {
-                binding: bindings.into_iter().next().expect("one binding"),
-            }
-        } else {
-            Payload::EndTupleRequestBatch { bindings }
         };
-        self.send(ctx, ep, payload, intra);
+        self.flush_answers_for(ctx, ci);
+        let (ep, intra) = (self.customers[ci].ep, self.customers[ci].intra);
+        self.send(ctx, ep, Payload::EndTupleRequests(bindings), intra);
     }
 
     /// Flush per-binding ends on all cross customer arcs.
@@ -474,75 +431,48 @@ impl Process {
     }
 
     fn handle_work(&mut self, from: Endpoint, payload: Payload, ctx: &mut Ctx<'_>) {
+        // Downward payloads must arrive on a customer arc, upward ones on
+        // a feeder arc. Protocol payloads are dispatched in `handle`, so
+        // anything else reaching here is a misrouted frame too.
+        let arc = match payload {
+            Payload::RelationRequest | Payload::TupleRequests(_) | Payload::EndOfRequests => {
+                self.common.customer_idx(from)
+            }
+            Payload::Answers(_) | Payload::EndTupleRequests(_) | Payload::End => {
+                self.common.feeder_idx(from)
+            }
+            _ => None,
+        };
+        let Some(arc) = arc else {
+            ctx.stats.malformed_dropped += 1;
+            return;
+        };
         match payload {
-            Payload::RelationRequest => {
-                if self.common.customer_idx(from).is_none() {
-                    ctx.stats.malformed_dropped += 1;
-                    return;
-                }
-                self.common.forward_relreq(ctx);
-            }
-            Payload::TupleRequest { binding } => {
-                let Some(ci) = self.common.customer_idx(from) else {
-                    ctx.stats.malformed_dropped += 1;
-                    return;
-                };
-                self.on_tuple_request(ci, binding, ctx);
-            }
-            Payload::TupleRequestBatch { bindings } => {
-                let Some(ci) = self.common.customer_idx(from) else {
-                    ctx.stats.malformed_dropped += 1;
-                    return;
-                };
+            Payload::RelationRequest => self.common.forward_relreq(ctx),
+            Payload::TupleRequests(bindings) => {
                 for binding in bindings {
-                    self.on_tuple_request(ci, binding, ctx);
+                    self.on_tuple_request(arc, binding, ctx);
                 }
             }
-            Payload::Answer { tuple } => {
-                let Some(fi) = self.common.feeder_idx(from) else {
-                    ctx.stats.malformed_dropped += 1;
-                    return;
-                };
-                self.on_answer(fi, tuple, ctx);
-            }
-            Payload::AnswerBatch { tuples } => {
-                let Some(fi) = self.common.feeder_idx(from) else {
-                    ctx.stats.malformed_dropped += 1;
-                    return;
-                };
+            Payload::Answers(tuples) => {
                 for tuple in tuples {
-                    self.on_answer(fi, tuple, ctx);
+                    self.on_answer(arc, tuple, ctx);
                 }
             }
-            Payload::EndTupleRequest { binding } => {
-                let Some(fi) = self.common.feeder_idx(from) else {
-                    ctx.stats.malformed_dropped += 1;
-                    return;
-                };
-                self.common.pending.remove(&(fi, binding));
-            }
-            Payload::EndTupleRequestBatch { bindings } => {
-                let Some(fi) = self.common.feeder_idx(from) else {
-                    ctx.stats.malformed_dropped += 1;
-                    return;
-                };
+            Payload::EndTupleRequests(bindings) => {
                 for binding in bindings {
-                    self.common.pending.remove(&(fi, binding));
+                    self.common.pending.remove(&(arc, binding));
                 }
             }
             Payload::End => {
-                let Some(fi) = self.common.feeder_idx(from) else {
-                    ctx.stats.malformed_dropped += 1;
-                    return;
-                };
-                self.common.feeder_end[fi] = true;
+                self.common.feeder_end[arc] = true;
                 if self.common.term.is_none() {
                     match &mut self.behavior {
                         Behavior::Rule { cfg, st } => {
                             // Stream end from one shard of a subgoal; the
                             // stage closes once every shard of that
                             // subgoal (every arc sharing the slot) ended.
-                            let slot = self.common.feeders[fi].slot;
+                            let slot = self.common.feeders[arc].slot;
                             if cfg.stages[slot]
                                 .arcs
                                 .iter()
@@ -561,11 +491,7 @@ impl Process {
                 // stream ends from released feeders; nothing to do.
             }
             Payload::EndOfRequests => {
-                let Some(ci) = self.common.customer_idx(from) else {
-                    ctx.stats.malformed_dropped += 1;
-                    return;
-                };
-                self.common.customers[ci].eor = true;
+                self.common.customers[arc].eor = true;
                 if self.common.term.is_none() {
                     match &mut self.behavior {
                         Behavior::Edb { .. } => {
@@ -596,9 +522,8 @@ impl Process {
                 // For a component leader the end-of-requests is recorded;
                 // the probe protocol concludes the stream.
             }
-            // Protocol payloads are dispatched in `handle`; anything
-            // reaching this arm is a misrouted frame.
-            _ => ctx.stats.malformed_dropped += 1,
+            // `arc` is `None` for every other payload.
+            _ => {}
         }
     }
 

@@ -9,7 +9,7 @@ mod transport;
 pub use explore::{explore, ExploreConfig, ExploreReport, ScheduleViolation};
 pub use govern::{CancelToken, Governor, NodeUsage, QueryBudget, Trip};
 pub use sim::{Schedule, SimOutcome, SimRuntime};
-pub use thread::{ThreadOutcome, ThreadRuntime};
+pub use thread::ThreadRuntime;
 
 use crate::msg::{Endpoint, Msg, Payload};
 use mp_rulegoal::NodeId;
@@ -149,17 +149,10 @@ pub(crate) fn budget_error(
 pub(crate) fn describe_payload(p: &Payload) -> (MsgKind, u64, u64, u64) {
     match p {
         Payload::RelationRequest => (MsgKind::RelationRequest, 1, 0, 0),
-        Payload::TupleRequest { .. } => (MsgKind::TupleRequest, 1, 0, 0),
-        Payload::TupleRequestBatch { bindings } => {
-            (MsgKind::TupleRequestBatch, bindings.len() as u64, 0, 0)
-        }
+        Payload::TupleRequests(p) => (MsgKind::TupleRequest, p.len() as u64, 0, 0),
         Payload::EndOfRequests => (MsgKind::EndOfRequests, 1, 0, 0),
-        Payload::Answer { .. } => (MsgKind::Answer, 1, 0, 0),
-        Payload::AnswerBatch { tuples } => (MsgKind::AnswerBatch, tuples.len() as u64, 0, 0),
-        Payload::EndTupleRequest { .. } => (MsgKind::EndTupleRequest, 1, 0, 0),
-        Payload::EndTupleRequestBatch { bindings } => {
-            (MsgKind::EndTupleRequestBatch, bindings.len() as u64, 0, 0)
-        }
+        Payload::Answers(p) => (MsgKind::Answer, p.len() as u64, 0, 0),
+        Payload::EndTupleRequests(p) => (MsgKind::EndTupleRequest, p.len() as u64, 0, 0),
         Payload::End => (MsgKind::End, 1, 0, 0),
         Payload::EndRequest { wave, epoch } => (MsgKind::EndRequest, 1, *wave, *epoch),
         Payload::EndNegative { wave, epoch } => (MsgKind::EndNegative, 1, *wave, *epoch),

@@ -56,11 +56,12 @@ use crate::node::{Ctx, Network, Process};
 use crate::runtime::govern::{CancelToken, Governor, QueryBudget, Trip};
 use crate::runtime::transport::{query_messages, Config, Driver, EngineSink, Frame, Stamped, Wire};
 use crate::runtime::{
-    budget_error, cancel_wave_on_trip, node_usage, tracer_for, RuntimeError, TRACE_RING_CAPACITY,
+    budget_error, cancel_wave_on_trip, node_usage, tracer_for, RuntimeError, SimOutcome,
+    TRACE_RING_CAPACITY,
 };
 use crate::stats::Stats;
-use mp_storage::{Relation, Tuple};
-use mp_trace::{Event, Ring, Stamp, Trace};
+use mp_storage::Tuple;
+use mp_trace::{Event, Ring, Stamp};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
@@ -615,24 +616,6 @@ impl PoolWorker {
     }
 }
 
-/// Result of a threaded run (same shape as the simulator's).
-#[derive(Clone, Debug)]
-pub struct ThreadOutcome {
-    /// The answer relation.
-    pub answers: Relation,
-    /// Merged per-node stats plus the scheduler counters.
-    pub stats: Stats,
-    /// Clock-stamped event trace, if requested: the input to
-    /// `mp_trace::check` and to deterministic replay in the simulator.
-    pub events: Option<Trace>,
-    /// `End` messages delivered to the engine before it stopped
-    /// collecting (Thm 3.1 observable: must be exactly 1 on success).
-    pub engine_ends: u64,
-    /// Answers delivered after the final `End` and before the engine
-    /// stopped collecting (Thm 3.1 observable: must be 0).
-    pub post_end_answers: u64,
-}
-
 /// The threaded runtime: a worker pool with work-stealing deques.
 #[derive(Clone, Debug)]
 pub struct ThreadRuntime {
@@ -646,7 +629,7 @@ pub struct ThreadRuntime {
     /// Recover crashed nodes by log replay. With recovery disabled a
     /// scheduled crash aborts the run with [`RuntimeError::LinkDown`].
     pub recovery: bool,
-    /// Record a clock-stamped event trace ([`ThreadOutcome::events`]).
+    /// Record a clock-stamped event trace ([`SimOutcome::events`]).
     /// Off by default: the untraced path carries `None` stamps and
     /// skips every recording branch — zero measurable overhead (E12).
     pub trace: bool,
@@ -679,7 +662,7 @@ impl Default for ThreadRuntime {
 
 impl ThreadRuntime {
     /// Run the network to completion on the worker pool.
-    pub fn run(&self, network: Network) -> Result<ThreadOutcome, RuntimeError> {
+    pub fn run(&self, network: Network) -> Result<SimOutcome, RuntimeError> {
         self.run_with_requests(network, std::iter::once(Tuple::unit()))
     }
 
@@ -700,7 +683,7 @@ impl ThreadRuntime {
         &self,
         mut network: Network,
         requests: impl IntoIterator<Item = Tuple>,
-    ) -> Result<ThreadOutcome, RuntimeError> {
+    ) -> Result<SimOutcome, RuntimeError> {
         let n = network.processes.len();
         let fault_mode = self.fault_plan.is_some();
         let start = Instant::now();
@@ -948,9 +931,11 @@ impl ThreadRuntime {
             }
         }
         let events = ring.map(|r| mp_trace::collect((n + 1) as u32, &r));
-        result.map(|()| ThreadOutcome {
+        // The pool keeps no message log, so `trace` is always `None`.
+        result.map(|()| SimOutcome {
             answers: sink.answers,
             stats,
+            trace: None,
             events,
             engine_ends: sink.ends,
             post_end_answers: sink.post_end_answers,

@@ -18,7 +18,7 @@
 //! ([`EngineSink`]).
 
 use crate::fault::{endpoint_code, Accepted, FaultPlan, ReceiverLink, SenderLink};
-use crate::msg::{Endpoint, Msg, Payload};
+use crate::msg::{Endpoint, Msg, Pack, Payload};
 use crate::node::{Ctx, Process};
 use crate::runtime::govern::Governor;
 use crate::runtime::{describe_payload, trace_actor, trace_deliver, trace_send, RuntimeError};
@@ -500,7 +500,7 @@ pub(crate) fn query_messages(root: NodeId, requests: impl IntoIterator<Item = Tu
     msgs.extend(
         requests
             .into_iter()
-            .map(|binding| to_root(Payload::TupleRequest { binding })),
+            .map(|binding| to_root(Payload::TupleRequests(Pack::One(binding)))),
     );
     msgs.push(to_root(Payload::EndOfRequests));
     msgs
@@ -531,8 +531,7 @@ impl EngineSink {
     /// error — never panics, whatever arrives.
     pub fn accept(&mut self, msg: Msg) -> Result<bool, RuntimeError> {
         match msg.payload {
-            Payload::Answer { tuple } => self.answer(tuple)?,
-            Payload::AnswerBatch { tuples } => {
+            Payload::Answers(tuples) => {
                 for tuple in tuples {
                     self.answer(tuple)?;
                 }
@@ -541,7 +540,7 @@ impl EngineSink {
                 self.ends += 1;
                 return Ok(true);
             }
-            Payload::EndTupleRequest { .. } | Payload::EndTupleRequestBatch { .. } => {}
+            Payload::EndTupleRequests(_) => {}
             other => {
                 return Err(RuntimeError::UnexpectedEngineMessage {
                     kind: other.kind_name(),
@@ -626,7 +625,7 @@ mod tests {
         Msg {
             from: A,
             to: B,
-            payload: Payload::Answer { tuple: tuple![tag] },
+            payload: Payload::Answers(Pack::One(tuple![tag])),
         }
     }
 
@@ -801,13 +800,11 @@ mod tests {
             payload,
         };
         assert_eq!(
-            sink.accept(to_engine(Payload::Answer { tuple: tuple![1] })),
+            sink.accept(to_engine(Payload::Answers(Pack::One(tuple![1])))),
             Ok(false)
         );
         assert_eq!(
-            sink.accept(to_engine(Payload::Answer {
-                tuple: tuple![1, 2]
-            })),
+            sink.accept(to_engine(Payload::Answers(Pack::One(tuple![1, 2])))),
             Err(RuntimeError::AnswerArity {
                 expected: 1,
                 got: 2,
@@ -821,7 +818,7 @@ mod tests {
             })
         );
         assert_eq!(sink.accept(to_engine(Payload::End)), Ok(true));
-        sink.accept(to_engine(Payload::Answer { tuple: tuple![2] }))
+        sink.accept(to_engine(Payload::Answers(Pack::One(tuple![2]))))
             .unwrap();
         assert_eq!((sink.ends, sink.post_end_answers), (1, 1));
     }

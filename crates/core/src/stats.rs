@@ -9,30 +9,24 @@
 pub struct Stats {
     /// Relation-request messages.
     pub relation_requests: u64,
-    /// Tuple-request messages.
+    /// Tuple-request frames (one per frame, however many bindings it
+    /// carries; the bindings are [`Stats::logical_tuple_requests`]).
     pub tuple_requests: u64,
-    /// Packaged tuple-request messages (batching enabled; each counts as
-    /// one message regardless of how many bindings it carries).
-    pub tuple_request_batches: u64,
-    /// Answer (tuple) messages.
+    /// Answer frames (the tuples are [`Stats::logical_answers`]).
     pub answers: u64,
-    /// Packaged answer messages (batching enabled; each counts as one
-    /// physical frame regardless of how many tuples it carries).
-    pub answer_batches: u64,
-    /// Per-binding end messages.
+    /// Per-binding end frames (the bindings are
+    /// [`Stats::logical_end_tuple_requests`]).
     pub end_tuple_requests: u64,
-    /// Packaged per-binding end messages.
-    pub end_tuple_request_batches: u64,
     /// Stream end / end-of-requests messages.
     pub stream_ends: u64,
-    /// Logical tuple requests: every binding shipped, whether as its own
-    /// frame or inside a `TupleRequestBatch`. Invariant under batching.
+    /// Logical tuple requests: every binding shipped, however framed.
+    /// Invariant under the batch size.
     pub logical_tuple_requests: u64,
-    /// Logical answers: every tuple shipped, whether as its own frame or
-    /// inside an `AnswerBatch`. Invariant under batching.
+    /// Logical answers: every tuple shipped, however framed. Invariant
+    /// under the batch size.
     pub logical_answers: u64,
-    /// Logical per-binding completions, counting batch contents.
-    /// Invariant under batching.
+    /// Logical per-binding completions, however framed. Invariant under
+    /// the batch size.
     pub logical_end_tuple_requests: u64,
     /// §3.2 protocol messages (end request / negative / confirmed /
     /// finished).
@@ -175,15 +169,12 @@ impl Stats {
     }
 
     /// Total *physical* messages sent (frames on the wire), by summing
-    /// the per-kind counters. A batch counts as one.
+    /// the per-kind counters. A frame counts as one, whatever it packs.
     pub fn total_messages(&self) -> u64 {
         self.relation_requests
             + self.tuple_requests
-            + self.tuple_request_batches
             + self.answers
-            + self.answer_batches
             + self.end_tuple_requests
-            + self.end_tuple_request_batches
             + self.stream_ends
             + self.protocol_messages
     }
@@ -225,11 +216,8 @@ impl Stats {
         let Stats {
             relation_requests,
             tuple_requests,
-            tuple_request_batches,
             answers,
-            answer_batches,
             end_tuple_requests,
-            end_tuple_request_batches,
             stream_ends,
             logical_tuple_requests,
             logical_answers,
@@ -272,11 +260,8 @@ impl Stats {
         } = other;
         self.relation_requests += relation_requests;
         self.tuple_requests += tuple_requests;
-        self.tuple_request_batches += tuple_request_batches;
         self.answers += answers;
-        self.answer_batches += answer_batches;
         self.end_tuple_requests += end_tuple_requests;
-        self.end_tuple_request_batches += end_tuple_request_batches;
         self.stream_ends += stream_ends;
         self.logical_tuple_requests += logical_tuple_requests;
         self.logical_answers += logical_answers;
@@ -338,28 +323,16 @@ impl Stats {
         use crate::msg::Payload as P;
         match payload {
             P::RelationRequest => self.relation_requests += 1,
-            P::TupleRequest { .. } => {
+            P::TupleRequests(bindings) => {
                 self.tuple_requests += 1;
-                self.logical_tuple_requests += 1;
-            }
-            P::TupleRequestBatch { bindings } => {
-                self.tuple_request_batches += 1;
                 self.logical_tuple_requests += bindings.len() as u64;
             }
-            P::Answer { .. } => {
+            P::Answers(tuples) => {
                 self.answers += 1;
-                self.logical_answers += 1;
-            }
-            P::AnswerBatch { tuples } => {
-                self.answer_batches += 1;
                 self.logical_answers += tuples.len() as u64;
             }
-            P::EndTupleRequest { .. } => {
+            P::EndTupleRequests(bindings) => {
                 self.end_tuple_requests += 1;
-                self.logical_end_tuple_requests += 1;
-            }
-            P::EndTupleRequestBatch { bindings } => {
-                self.end_tuple_request_batches += 1;
                 self.logical_end_tuple_requests += bindings.len() as u64;
             }
             P::End | P::EndOfRequests => self.stream_ends += 1,
@@ -384,11 +357,8 @@ impl std::fmt::Display for Stats {
         let Stats {
             relation_requests,
             tuple_requests,
-            tuple_request_batches,
             answers,
-            answer_batches,
             end_tuple_requests,
-            end_tuple_request_batches,
             stream_ends,
             logical_tuple_requests,
             logical_answers,
@@ -429,17 +399,14 @@ impl std::fmt::Display for Stats {
             shard_max_skew,
             strata_evaluated,
         } = self;
-        writeln!(f, "-- messages           : {}", self.total_messages())?;
+        writeln!(f, "-- messages (frames)  : {}", self.total_messages())?;
         writeln!(f, "--   relation requests: {relation_requests}")?;
         writeln!(f, "--   tuple requests   : {tuple_requests}")?;
-        writeln!(f, "--   request packages : {tuple_request_batches}")?;
         writeln!(f, "--   answers          : {answers}")?;
-        writeln!(f, "--   answer packages  : {answer_batches}")?;
         writeln!(f, "--   end requests     : {end_tuple_requests}")?;
-        writeln!(f, "--   end packages     : {end_tuple_request_batches}")?;
         writeln!(f, "--   stream ends      : {stream_ends}")?;
         writeln!(f, "--   protocol         : {protocol_messages}")?;
-        writeln!(f, "-- logical traffic (batching-invariant)")?;
+        writeln!(f, "-- logical traffic (items; batch-size-invariant)")?;
         writeln!(f, "--   tuple requests   : {logical_tuple_requests}")?;
         writeln!(f, "--   answers          : {logical_answers}")?;
         writeln!(f, "--   end requests     : {logical_end_tuple_requests}")?;
@@ -489,14 +456,14 @@ impl std::fmt::Display for Stats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::msg::Payload;
+    use crate::msg::{Pack, Payload};
     use mp_storage::tuple;
 
     #[test]
     fn count_send_buckets() {
         let mut s = Stats::default();
-        s.count_send(&Payload::TupleRequest { binding: tuple![1] });
-        s.count_send(&Payload::Answer { tuple: tuple![1] });
+        s.count_send(&Payload::TupleRequests(Pack::One(tuple![1])));
+        s.count_send(&Payload::Answers(Pack::One(tuple![1])));
         s.count_send(&Payload::End);
         s.count_send(&Payload::EndRequest { wave: 0, epoch: 0 });
         assert_eq!(s.tuple_requests, 1);
@@ -509,20 +476,24 @@ mod tests {
     }
 
     #[test]
-    fn batches_count_one_physical_frame_but_all_logical_items() {
+    fn a_frame_counts_once_physically_and_per_item_logically() {
         let mut s = Stats::default();
-        s.count_send(&Payload::AnswerBatch {
-            tuples: vec![tuple![1], tuple![2], tuple![3]],
-        });
-        s.count_send(&Payload::EndTupleRequestBatch {
-            bindings: vec![tuple![1], tuple![2]],
-        });
-        s.count_send(&Payload::TupleRequestBatch {
-            bindings: vec![tuple![4], tuple![5]],
-        });
-        assert_eq!(s.answer_batches, 1);
-        assert_eq!(s.end_tuple_request_batches, 1);
-        assert_eq!(s.tuple_request_batches, 1);
+        s.count_send(&Payload::Answers(Pack::Many(vec![
+            tuple![1],
+            tuple![2],
+            tuple![3],
+        ])));
+        s.count_send(&Payload::EndTupleRequests(Pack::Many(vec![
+            tuple![1],
+            tuple![2],
+        ])));
+        s.count_send(&Payload::TupleRequests(Pack::Many(vec![
+            tuple![4],
+            tuple![5],
+        ])));
+        assert_eq!(s.answers, 1);
+        assert_eq!(s.end_tuple_requests, 1);
+        assert_eq!(s.tuple_requests, 1);
         assert_eq!(s.logical_answers, 3);
         assert_eq!(s.logical_end_tuple_requests, 2);
         assert_eq!(s.logical_tuple_requests, 2);
@@ -559,11 +530,8 @@ mod tests {
         Stats {
             relation_requests: v,
             tuple_requests: v,
-            tuple_request_batches: v,
             answers: v,
-            answer_batches: v,
             end_tuple_requests: v,
-            end_tuple_request_batches: v,
             stream_ends: v,
             logical_tuple_requests: v,
             logical_answers: v,
@@ -635,11 +603,8 @@ mod tests {
             set!(
                 relation_requests,
                 tuple_requests,
-                tuple_request_batches,
                 answers,
-                answer_batches,
                 end_tuple_requests,
-                end_tuple_request_batches,
                 stream_ends,
                 logical_tuple_requests,
                 logical_answers,
@@ -683,7 +648,7 @@ mod tests {
             let _ = v;
             s.to_string()
         };
-        for v in 1000..1046 {
+        for v in 1000..1043 {
             assert!(
                 text.contains(&format!(": {v}")),
                 "counter value {v} missing from Display output:\n{text}"

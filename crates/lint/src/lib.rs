@@ -175,10 +175,10 @@ pub enum Code {
     /// A logical message was delivered twice on one link (a duplicate
     /// frame survived transport dedup).
     TraceDuplicateDelivery,
-    /// A matched send/deliver pair disagrees on logical item count
-    /// (batching must preserve logical counters).
+    /// A matched send/deliver pair disagrees on kind or logical item
+    /// count (a frame arrives with the items it was packed with).
     TraceCountMismatch,
-    /// A node sent an `Answer`/`AnswerBatch` after acking a `Cancel`
+    /// A node sent an `Answers` frame after acking a `Cancel`
     /// wave epoch (resource governance: cancelled nodes drain the
     /// protocol but must never produce more answers).
     TraceAnswerAfterCancel,

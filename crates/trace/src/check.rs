@@ -24,7 +24,7 @@
 //! * **MP309** batching invariance — matched send/deliver pairs agree on
 //!   kind and logical item count (PR 4 logical counters).
 //! * **MP310** cancel discipline — after a node delivers (acks) a
-//!   `Cancel` wave epoch it must not emit another `Answer`/`AnswerBatch`
+//!   `Cancel` wave epoch it must not emit another `Answer` frame
 //!   (PR 8 resource governance: cancelled nodes drain, never produce).
 //!
 //! **Actor identity under sharding.** A trace actor is a *physical*
@@ -47,7 +47,7 @@ use std::collections::{BTreeMap, BTreeSet};
 /// cross-checked.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LogicalCounts {
-    /// Logical tuple requests (batch frames count their contents).
+    /// Logical tuple requests (a frame counts its items).
     pub tuple_requests: u64,
     /// Logical answers.
     pub answers: u64,
@@ -61,12 +61,9 @@ pub fn logical_counts(trace: &Trace) -> LogicalCounts {
     for e in &trace.events {
         if let EventKind::Send { kind, items, .. } = e.kind {
             match kind {
-                MsgKind::TupleRequest => c.tuple_requests += 1,
-                MsgKind::TupleRequestBatch => c.tuple_requests += items,
-                MsgKind::Answer => c.answers += 1,
-                MsgKind::AnswerBatch => c.answers += items,
-                MsgKind::EndTupleRequest => c.end_tuple_requests += 1,
-                MsgKind::EndTupleRequestBatch => c.end_tuple_requests += items,
+                MsgKind::TupleRequest => c.tuple_requests += items,
+                MsgKind::Answer => c.answers += items,
+                MsgKind::EndTupleRequest => c.end_tuple_requests += items,
                 _ => {}
             }
         }
@@ -190,7 +187,7 @@ pub fn check(trace: &Trace) -> Vec<Diagnostic> {
                     a.requested.insert((*wave, *epoch));
                 }
                 // MP310: a cancelled node's answer stream is closed.
-                if kind.is_answer() && e.actor != engine {
+                if *kind == MsgKind::Answer && e.actor != engine {
                     if let Some(ce) = a.cancelled_epoch {
                         out.push(diag(
                             Code::TraceAnswerAfterCancel,
@@ -215,7 +212,7 @@ pub fn check(trace: &Trace) -> Vec<Diagnostic> {
             } => {
                 // MP303: the engine's answer stream is closed by End.
                 if e.actor == engine {
-                    if kind.is_answer() && a.end_seen {
+                    if *kind == MsgKind::Answer && a.end_seen {
                         out.push(diag(
                             Code::TraceAnswerAfterEnd,
                             format!("event {i}: engine received an answer after End"),
@@ -431,9 +428,9 @@ mod tests {
         n0.on_deliver(2, Some(&s), MsgKind::RelationRequest, 1, 0, 0);
         n0.on_store(0, 1);
         n0.on_store(0, 2);
-        let s = n0.on_send(1, MsgKind::AnswerBatch, 2, 0, 0);
+        let s = n0.on_send(1, MsgKind::Answer, 2, 0, 0);
         n0.on_flush(2);
-        n1.on_deliver(0, Some(&s), MsgKind::AnswerBatch, 2, 0, 0);
+        n1.on_deliver(0, Some(&s), MsgKind::Answer, 2, 0, 0);
         let s = n1.on_send(2, MsgKind::Answer, 1, 0, 0);
         eng.on_deliver(1, Some(&s), MsgKind::Answer, 1, 0, 0);
         let s = n0.on_send(1, MsgKind::EndRequest, 1, 1, 0);
@@ -453,10 +450,10 @@ mod tests {
     }
 
     #[test]
-    fn logical_counts_sum_batches() {
+    fn logical_counts_sum_frame_items() {
         let t = clean_trace();
         let c = logical_counts(&t);
-        assert_eq!(c.answers, 3); // one batch of 2 + one scalar
+        assert_eq!(c.answers, 3); // one frame of 2 + one frame of 1
         assert_eq!(c.tuple_requests, 0);
     }
 

@@ -11,16 +11,13 @@ use std::fmt;
 /// `mp_engine::Payload` without depending on the engine crate (the
 /// dependency points the other way).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-#[allow(missing_docs)] // variant names mirror Payload one-for-one
+#[allow(missing_docs)] // one variant per Payload variant (singular names)
 pub enum MsgKind {
     RelationRequest,
     TupleRequest,
-    TupleRequestBatch,
     EndOfRequests,
     Answer,
-    AnswerBatch,
     EndTupleRequest,
-    EndTupleRequestBatch,
     End,
     EndRequest,
     EndNegative,
@@ -37,12 +34,9 @@ impl MsgKind {
         match self {
             MsgKind::RelationRequest => "relation_request",
             MsgKind::TupleRequest => "tuple_request",
-            MsgKind::TupleRequestBatch => "tuple_request_batch",
             MsgKind::EndOfRequests => "end_of_requests",
             MsgKind::Answer => "answer",
-            MsgKind::AnswerBatch => "answer_batch",
             MsgKind::EndTupleRequest => "end_tuple_request",
-            MsgKind::EndTupleRequestBatch => "end_tuple_request_batch",
             MsgKind::End => "end",
             MsgKind::EndRequest => "end_request",
             MsgKind::EndNegative => "end_negative",
@@ -59,12 +53,9 @@ impl MsgKind {
         Some(match s {
             "relation_request" => MsgKind::RelationRequest,
             "tuple_request" => MsgKind::TupleRequest,
-            "tuple_request_batch" => MsgKind::TupleRequestBatch,
             "end_of_requests" => MsgKind::EndOfRequests,
             "answer" => MsgKind::Answer,
-            "answer_batch" => MsgKind::AnswerBatch,
             "end_tuple_request" => MsgKind::EndTupleRequest,
-            "end_tuple_request_batch" => MsgKind::EndTupleRequestBatch,
             "end" => MsgKind::End,
             "end_request" => MsgKind::EndRequest,
             "end_negative" => MsgKind::EndNegative,
@@ -75,11 +66,6 @@ impl MsgKind {
             "shutdown" => MsgKind::Shutdown,
             _ => return None,
         })
-    }
-
-    /// True for answer-stream payloads (scalar or batched).
-    pub fn is_answer(self) -> bool {
-        matches!(self, MsgKind::Answer | MsgKind::AnswerBatch)
     }
 }
 
@@ -116,7 +102,7 @@ pub enum EventKind {
         to: u32,
         /// Payload kind.
         kind: MsgKind,
-        /// Logical items inside (batch length; 1 for scalar frames).
+        /// Logical items inside (1 for the kinds that carry no tuples).
         items: u64,
         /// Per-link logical sequence number.
         link_seq: u64,
@@ -461,12 +447,9 @@ mod tests {
         for k in [
             MsgKind::RelationRequest,
             MsgKind::TupleRequest,
-            MsgKind::TupleRequestBatch,
             MsgKind::EndOfRequests,
             MsgKind::Answer,
-            MsgKind::AnswerBatch,
             MsgKind::EndTupleRequest,
-            MsgKind::EndTupleRequestBatch,
             MsgKind::End,
             MsgKind::EndRequest,
             MsgKind::EndNegative,
@@ -479,6 +462,23 @@ mod tests {
             assert_eq!(MsgKind::parse(k.as_str()), Some(k));
         }
         assert_eq!(MsgKind::parse("nonsense"), None);
+    }
+
+    #[test]
+    fn retired_batch_kind_names_are_unknown_kinds() {
+        for name in [
+            "tuple_request_batch",
+            "answer_batch",
+            "end_tuple_request_batch",
+        ] {
+            assert_eq!(MsgKind::parse(name), None);
+            let text = format!("mptrace v1\nactors 2\n0 1 1,0 send 1 {name} 2 0 0 0\n");
+            let err = Trace::from_text(&text).unwrap_err();
+            assert!(
+                err.contains(&format!("unknown message kind `{name}`")),
+                "{err}"
+            );
+        }
     }
 
     #[test]

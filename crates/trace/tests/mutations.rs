@@ -126,8 +126,8 @@ fn orphan_recover_fires_mp307() {
 #[test]
 fn logical_count_mismatch_fires_mp309() {
     let (mut n0, mut n1, _eng, ring) = tracers();
-    let s = n0.on_send(1, MsgKind::AnswerBatch, 4, 0, 0);
-    n1.on_deliver(0, Some(&s), MsgKind::AnswerBatch, 2, 0, 0); // tuples vanished
+    let s = n0.on_send(1, MsgKind::Answer, 4, 0, 0);
+    n1.on_deliver(0, Some(&s), MsgKind::Answer, 2, 0, 0); // tuples vanished
     assert_eq!(codes(&collect(3, &ring)), vec!["MP309"]);
 }
 

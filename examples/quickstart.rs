@@ -46,8 +46,8 @@ fn main() {
     let s = &result.stats;
     println!("\nhow the network did it:");
     println!("  rule/goal graph nodes : {}", result.graph_nodes);
-    println!("  tuple requests        : {}", s.tuple_requests);
-    println!("  answer tuples         : {}", s.answers);
+    println!("  tuple-request frames  : {}", s.tuple_requests);
+    println!("  answer frames         : {}", s.answers);
     println!("  protocol messages     : {}", s.protocol_messages);
     println!("  join probes           : {}", s.join_probes);
     println!(

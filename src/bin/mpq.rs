@@ -18,8 +18,7 @@
 //!   --batch-size N                tuples per data-plane frame: above
 //!                                 1, tuple requests, answers and ends
 //!                                 are packaged per arc (§3.1 fn 2);
-//!                                 1 (the default) = scalar framing
-//!   --batching                    shorthand for --batch-size 64
+//!                                 1 (the default) = one item a frame
 //!   --chaos SEED                  inject seeded link faults (drop,
 //!                                 duplicate, delay, corrupt) and rely
 //!                                 on the recovery transport
@@ -138,9 +137,6 @@ fn parse_args() -> Result<Options, String> {
                 }
                 opts.shards = Some(k);
             }
-            "--batching" => {
-                opts.batch_size.get_or_insert(64);
-            }
             "--batch-size" => {
                 let v = args.next().ok_or("--batch-size needs a value")?;
                 let n: usize = v.parse().map_err(|_| format!("bad batch size `{v}`"))?;
@@ -197,7 +193,7 @@ fn parse_args() -> Result<Options, String> {
 }
 
 const USAGE: &str = "usage: mpq [--sip S] [--schedule fifo|random:SEED] [--threads] \
-[--workers N] [--shards K] [--batching] [--batch-size N] [--chaos SEED] [--no-recovery] \
+[--workers N] [--shards K] [--batch-size N] [--chaos SEED] [--no-recovery] \
 [--deadline SECS] [--msg-budget N] [--mem-budget BYTES] [--mailbox-bound N] [--stats] \
 [--dot] [--explain] [--trace FILE] [--check] [--baseline B] [FILE]";
 

@@ -15,7 +15,7 @@ use common::{assert_invariant, fault, flat_workloads, lattice, regressions, work
 use mp_framework::datalog::parser::{parse_program, parse_rule};
 use mp_framework::datalog::{Database, Program};
 use mp_framework::engine::node::{Network, ShardPlan};
-use mp_framework::engine::{Engine, FaultPlan, RuntimeKind};
+use mp_framework::engine::{Engine, FaultPlan, Payload, RuntimeKind};
 use mp_framework::rulegoal::SipKind;
 use mp_framework::trace::EventKind;
 use mp_framework::workloads::random_programs::{
@@ -23,6 +23,7 @@ use mp_framework::workloads::random_programs::{
 };
 use mp_framework::workloads::{scenarios, Workload};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 // ---------------------------------------------------------------------
 // The lattice
@@ -445,6 +446,56 @@ fn pool_traced_runs_check_clean_and_replay() {
         let configs: Vec<Config> = (0..4).map(|s| on(&traced, fault::seeded(s))).collect();
         assert_invariant(&w, &configs);
     }
+}
+
+/// Protocol invariant 6 (1–5 are `common::check_invariants`, run on every
+/// message log): the Fig 2 machinery only runs inside nontrivial strong
+/// components. A nonrecursive rule chain closes every stream it opened by
+/// the `End`/`EndOfRequests` cascade with zero protocol traffic; a cycle
+/// needs probe waves and is finished by `SccFinished`.
+#[test]
+fn protocol_messages_flow_only_inside_recursive_components() {
+    let program = parse_program(
+        "e(1, 2). e(2, 3). e(3, 4).
+         p1(X, Y) :- e(X, Y).
+         p2(X, Y) :- p1(X, Y).
+         p3(X, Z) :- p2(X, Y), e(Y, Z).
+         p4(X, Y) :- p3(X, Y).
+         p5(X, Y) :- p4(X, Y).
+         ?- p5(1, Z).",
+    )
+    .unwrap();
+    let chain = Workload {
+        name: "nonrecursive-chain".into(),
+        program,
+        db: Database::new(),
+    };
+    let traced = [Config::default().traced()];
+    let r = assert_invariant(&chain, &traced).runs.remove(0);
+    assert_eq!(r.stats.protocol_messages, 0, "no recursion, no probes");
+    let log = r.trace.expect("the simulator logs messages");
+    // Answers flow feeder -> customer, against the request that opened
+    // the stream.
+    let opened: BTreeSet<_> = log
+        .iter()
+        .filter(|m| matches!(m.payload, Payload::RelationRequest))
+        .map(|m| (m.to, m.from))
+        .collect();
+    let ended: BTreeSet<_> = log
+        .iter()
+        .filter(|m| matches!(m.payload, Payload::End))
+        .map(|m| (m.from, m.to))
+        .collect();
+    assert_eq!(opened, ended, "all opened streams must end");
+
+    let r = assert_invariant(&scenarios::tc_cycle(8), &traced)
+        .runs
+        .remove(0);
+    assert!(r.stats.protocol_messages > 0, "recursion needs the probes");
+    let log = r.trace.expect("the simulator logs messages");
+    assert!(log
+        .iter()
+        .any(|m| matches!(m.payload, Payload::SccFinished)));
 }
 
 // ---------------------------------------------------------------------
