@@ -79,8 +79,10 @@ pub struct EdbCfg {
     pub filtered: Arc<Relation>,
     /// Hash index of `filtered` on the label's `d` positions.
     pub index: Arc<KeyIndex>,
-    /// Transmitted (non-`e`) positions, full-arity space.
-    pub transmitted: Vec<usize>,
+    /// Transmitted (non-`e`) positions, full-arity space, when the label
+    /// drops an `e` column; `None` when every column is transmitted, so
+    /// a row is its own answer.
+    pub project: Option<Vec<usize>>,
 }
 
 /// Static configuration of a cycle-reference node: a relay that performs
@@ -682,7 +684,7 @@ fn shard_edb(template: &EdbCfg, label: &mp_rulegoal::GoalLabel, s: usize, k: usi
     EdbCfg {
         filtered: Arc::new(filtered),
         index: Arc::new(index),
-        transmitted: template.transmitted.clone(),
+        project: template.project.clone(),
     }
 }
 
@@ -710,10 +712,12 @@ fn compile_edb(label: &mp_rulegoal::GoalLabel, db: &Database) -> EdbCfg {
     let index = filtered
         .shared_index(&ad.d_positions())
         .expect("d positions in range");
+    let transmitted = ad.transmitted_positions();
+    let project = (transmitted.len() < filtered.arity()).then_some(transmitted);
     EdbCfg {
         filtered,
         index,
-        transmitted: ad.transmitted_positions(),
+        project,
     }
 }
 
@@ -1011,5 +1015,29 @@ mod tests {
         db.insert("edge", tuple![1, 9]).unwrap();
         assert_eq!(widest(&first), Some(4));
         assert_eq!(widest(&leaves(&Network::compile(&graph, &db))), Some(5));
+    }
+
+    #[test]
+    fn only_leaves_that_drop_a_column_project() {
+        let program = parse_program(
+            "reach(Y) :- reach(X), edge(X, Y).
+             reach(Y) :- edge(1, Y).
+             hasout(X) :- edge(X, Y).
+             both(X) :- reach(X), hasout(X).
+             ?- both(Z).",
+        )
+        .unwrap();
+        let mut db = Database::new();
+        for (a, b) in [(1, 2), (2, 3), (2, 4)] {
+            db.insert("edge", tuple![a, b]).unwrap();
+        }
+        let graph = RuleGoalGraph::build(&program, &db, SipKind::Greedy).unwrap();
+        let net = Network::compile(&graph, &db);
+        let projects: Vec<_> = leaves(&net).iter().map(|l| l.project.clone()).collect();
+        // `edge(X, Y)` under `hasout(X)`: `Y` is existential, so rows
+        // `(2, 3)` and `(2, 4)` answer `(2)` once.
+        assert!(projects.contains(&Some(vec![0])), "{projects:?}");
+        // `edge(X, Y)` in the recursion transmits both columns.
+        assert!(projects.contains(&None), "{projects:?}");
     }
 }

@@ -816,16 +816,25 @@ fn goal_maybe_end(common: &mut Common, ctx: &mut Ctx<'_>) {
 fn edb_on_request(cfg: &EdbCfg, common: &mut Common, ci: usize, binding: Tuple, ctx: &mut Ctx<'_>) {
     common.customers[ci].subs.insert(binding.clone());
     ctx.stats.edb_lookups += 1;
-    let mut seen = mp_storage::Relation::new(cfg.transmitted.len());
-    let rows: Vec<&Tuple> = cfg
-        .index
-        .probe_in(&cfg.filtered, binding.values())
-        .map(|r| &cfg.filtered.rows()[r as usize])
-        .collect();
-    for row in rows {
-        let t = row.project(&cfg.transmitted);
-        if seen.insert(t.clone()).expect("projection arity") {
-            common.send_answer(ctx, ci, t);
+    let ids = cfg.index.probe_in(&cfg.filtered, binding.values());
+    let rows = cfg.filtered.rows();
+    match &cfg.project {
+        // The rows of a set are already distinct: answer with the arena
+        // rows themselves.
+        None => {
+            for id in ids {
+                common.send_answer(ctx, ci, rows[id as usize].clone());
+            }
+        }
+        // Dropping an `e` column can merge rows: project, then dedup.
+        Some(cols) => {
+            let mut seen = mp_storage::Relation::new(cols.len());
+            for id in ids {
+                let t = rows[id as usize].project(cols);
+                if seen.insert(t.clone()).expect("projection arity") {
+                    common.send_answer(ctx, ci, t);
+                }
+            }
         }
     }
     // The EDB is static: the binding is complete immediately.
@@ -894,24 +903,62 @@ fn unify_binding(
     Some(values.into_iter().map(|v| v.expect("all bound")).collect())
 }
 
-/// A new tuple landed in stage `level`; push it through the pipeline.
-/// Project `t` onto `cols` into a stack buffer and run `f` with the
-/// borrowed key slice — the engine's per-probe form. Avoids allocating
-/// a key [`Tuple`] on every join/semijoin probe; falls back to a heap
-/// projection for the (unseen in practice) arity > 16 case.
+/// Build a row of `n` values (`value(i)` is column `i`) into a stack
+/// buffer and run `f` with the borrowed slice — the engine's per-probe
+/// and per-join-output form. Avoids allocating a [`Tuple`] for every
+/// probe key and every candidate join output; falls back to the heap
+/// for the (unseen in practice) width > 16 case.
 #[inline]
-fn with_key<R>(t: &Tuple, cols: &[usize], f: impl FnOnce(&[Value]) -> R) -> R {
-    if cols.len() <= 16 {
+fn with_row<R>(n: usize, value: impl Fn(usize) -> Value, f: impl FnOnce(&[Value]) -> R) -> R {
+    if n <= 16 {
         let mut buf = [Value::int(0); 16];
-        for (i, &c) in cols.iter().enumerate() {
-            buf[i] = t[c];
+        for (i, slot) in buf[..n].iter_mut().enumerate() {
+            *slot = value(i);
         }
-        f(&buf[..cols.len()])
+        f(&buf[..n])
     } else {
-        f(t.project(cols).values())
+        f(&(0..n).map(value).collect::<Vec<_>>())
     }
 }
 
+/// Project `t` onto `cols` on the stack and run `f` with the key slice.
+#[inline]
+fn with_key<R>(t: &Tuple, cols: &[usize], f: impl FnOnce(&[Value]) -> R) -> R {
+    with_row(cols.len(), |i| t[cols[i]], f)
+}
+
+/// Store the join of a stage-`level` binding `prev` with a subgoal
+/// answer `ans` in stage `level + 1`; if it is new, push it on through
+/// the pipeline. The candidate row is built on the stack, so a duplicate
+/// allocates nothing.
+fn rule_store_join(
+    cfg: &RuleCfg,
+    st: &mut RuleState,
+    common: &mut Common,
+    level: usize,
+    prev: &Tuple,
+    ans: &Tuple,
+    ctx: &mut Ctx<'_>,
+) {
+    let build = &cfg.stages[level].build;
+    let next = &mut st.stage_bindings[level + 1];
+    let value = |i: usize| match build[i] {
+        StageSource::Prev(c) => prev[c],
+        StageSource::Ans(c) => ans[c],
+    };
+    if !with_row(build.len(), value, |row| next.insert_values(row)).expect("stage arity") {
+        return;
+    }
+    let new_tuple = next.rows()[next.len() - 1].clone();
+    ctx.stats.stored_tuples += 1;
+    let sz = next.len() as u64;
+    ctx.stats.max_relation_size = ctx.stats.max_relation_size.max(sz);
+    ctx.stats.max_stage_relation = ctx.stats.max_stage_relation.max(sz);
+    ctx.trace_store(2 * (level as u32 + 1), sz);
+    rule_propagate(cfg, st, common, level + 1, new_tuple, ctx);
+}
+
+/// A new tuple landed in stage `level`; push it through the pipeline.
 fn rule_propagate(
     cfg: &RuleCfg,
     st: &mut RuleState,
@@ -947,26 +994,8 @@ fn rule_propagate(
     let matches: Vec<Tuple> = with_key(&tuple, &stage.join_prev_cols, |key| {
         st.ans_store[level].probe_cloned(&stage.join_answer_cols, key)
     });
-    for ans in matches {
-        let new_tuple: Tuple = stage
-            .build
-            .iter()
-            .map(|src| match src {
-                StageSource::Prev(i) => tuple[*i],
-                StageSource::Ans(i) => ans[*i],
-            })
-            .collect();
-        if st.stage_bindings[level + 1]
-            .insert(new_tuple.clone())
-            .expect("stage arity")
-        {
-            ctx.stats.stored_tuples += 1;
-            let sz = st.stage_bindings[level + 1].len() as u64;
-            ctx.stats.max_relation_size = ctx.stats.max_relation_size.max(sz);
-            ctx.stats.max_stage_relation = ctx.stats.max_stage_relation.max(sz);
-            ctx.trace_store(2 * (level as u32 + 1), sz);
-            rule_propagate(cfg, st, common, level + 1, new_tuple, ctx);
-        }
+    for ans in &matches {
+        rule_store_join(cfg, st, common, level, &tuple, ans, ctx);
     }
 }
 
@@ -1012,26 +1041,8 @@ fn rule_on_answer(
     let prevs: Vec<Tuple> = with_key(&tuple, &stage.join_answer_cols, |key| {
         st.stage_bindings[level].probe_cloned(&stage.join_prev_cols, key)
     });
-    for prev in prevs {
-        let new_tuple: Tuple = stage
-            .build
-            .iter()
-            .map(|src| match src {
-                StageSource::Prev(i) => prev[*i],
-                StageSource::Ans(i) => tuple[*i],
-            })
-            .collect();
-        if st.stage_bindings[level + 1]
-            .insert(new_tuple.clone())
-            .expect("stage arity")
-        {
-            ctx.stats.stored_tuples += 1;
-            let sz = st.stage_bindings[level + 1].len() as u64;
-            ctx.stats.max_relation_size = ctx.stats.max_relation_size.max(sz);
-            ctx.stats.max_stage_relation = ctx.stats.max_stage_relation.max(sz);
-            ctx.trace_store(2 * (level as u32 + 1), sz);
-            rule_propagate(cfg, st, common, level + 1, new_tuple, ctx);
-        }
+    for prev in &prevs {
+        rule_store_join(cfg, st, common, level, prev, &tuple, ctx);
     }
 }
 

@@ -20,7 +20,10 @@
 //! The dedup structure and every [`KeyIndex`] hold `u32` row ids into the
 //! arena and store *hashes*, not keys: candidates are verified against
 //! the column mirror, so a tuple's values are never stored a third time
-//! and indexes stay valid as rows are appended.
+//! and indexes stay valid as rows are appended. A bucket keeps its first
+//! id inline (`Ids`), so filing a row allocates only on a real hash
+//! collision, and [`Relation::insert_values`] checks a borrowed value
+//! slice, so a duplicate costs no allocation at all.
 //!
 //! A relation also carries a **catalogue**: per-column summaries
 //! ([`Relation::summary`]) and hash indexes on requested column sets
@@ -31,6 +34,7 @@
 
 use crate::fast_hash::{fold_key_word, FastMap, FastSet};
 use crate::{FastHasher, StorageError, Tuple, Value};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, BuildHasherDefault};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
@@ -63,7 +67,7 @@ pub struct Relation {
     /// cloned tuples; candidates are verified against the arena. Keys
     /// are interned engine data, so the deterministic [`FastHasher`]
     /// replaces SipHash on this hottest of paths.
-    dedup: FastMap<u64, Vec<u32>>,
+    dedup: FastMap<u64, Ids>,
     /// Hash state used to fold a row into the `u64` dedup key.
     state: BuildHasherDefault<FastHasher>,
     indexes: HashMap<Vec<usize>, KeyIndex>,
@@ -215,33 +219,36 @@ impl Relation {
         }
     }
 
-    /// Row ids (into [`Relation::rows`]) of arena rows equal to `t`,
-    /// i.e. zero or one id since the relation is a set.
-    fn find(&self, t: &Tuple) -> Option<u32> {
-        self.find_hashed(self.state.hash_one(t), t)
-    }
-
-    fn find_hashed(&self, h: u64, t: &Tuple) -> Option<u32> {
+    /// The dedup probe every insert and [`Relation::contains`] share:
+    /// `Ok(id)` of the arena row equal to `values`, else `Err(hash)`, the
+    /// row hash a new row is filed under. The hash is the [`Tuple`]'s
+    /// own, since a tuple hashes exactly like its value slice.
+    fn find(&self, values: &[Value]) -> Result<u32, u64> {
+        let h = self.state.hash_one(values);
         self.dedup
-            .get(&h)?
-            .iter()
-            .copied()
-            .find(|&i| self.rows[i as usize] == *t)
+            .get(&h)
+            .and_then(|ids| {
+                ids.as_slice()
+                    .iter()
+                    .copied()
+                    .find(|&i| self.rows[i as usize].values() == values)
+            })
+            .ok_or(h)
     }
 
-    /// Insert a tuple. Returns `Ok(true)` if the tuple was new, `Ok(false)`
-    /// if it was a duplicate. All prepared indexes are updated.
-    pub fn insert(&mut self, t: Tuple) -> Result<bool, StorageError> {
-        if t.arity() != self.arity {
-            return Err(StorageError::ArityMismatch {
+    fn check_arity(&self, got: usize) -> Result<(), StorageError> {
+        if got == self.arity {
+            Ok(())
+        } else {
+            Err(StorageError::ArityMismatch {
                 expected: self.arity,
-                got: t.arity(),
-            });
+                got,
+            })
         }
-        let h = self.state.hash_one(&t);
-        if self.find_hashed(h, &t).is_some() {
-            return Ok(false);
-        }
+    }
+
+    /// Append a row [`Relation::find`] reported new under hash `h`.
+    fn push_row(&mut self, h: u64, t: Tuple) {
         self.catalogue.reset();
         let row_id = self.rows.len() as u32;
         for idx in self.indexes.values_mut() {
@@ -251,13 +258,40 @@ impl Relation {
             col.push(v);
         }
         self.rows.push(t);
-        self.dedup.entry(h).or_default().push(row_id);
-        Ok(true)
+        file_id(&mut self.dedup, h, row_id);
+    }
+
+    /// Insert a tuple. Returns `Ok(true)` if the tuple was new, `Ok(false)`
+    /// if it was a duplicate. All prepared indexes are updated.
+    pub fn insert(&mut self, t: Tuple) -> Result<bool, StorageError> {
+        self.check_arity(t.arity())?;
+        match self.find(t.values()) {
+            Ok(_) => Ok(false),
+            Err(h) => {
+                self.push_row(h, t);
+                Ok(true)
+            }
+        }
+    }
+
+    /// [`Relation::insert`] of a borrowed value slice: the row's
+    /// [`Tuple`] is built only when the row is new, so a duplicate costs
+    /// a hash and a comparison, no allocation. The engine's joins build
+    /// their output rows on the stack and store them through this.
+    pub fn insert_values(&mut self, values: &[Value]) -> Result<bool, StorageError> {
+        self.check_arity(values.len())?;
+        match self.find(values) {
+            Ok(_) => Ok(false),
+            Err(h) => {
+                self.push_row(h, Tuple::from(values));
+                Ok(true)
+            }
+        }
     }
 
     /// Membership test.
     pub fn contains(&self, t: &Tuple) -> bool {
-        self.find(t).is_some()
+        self.find(t.values()).is_ok()
     }
 
     /// Iterate in insertion order.
@@ -347,10 +381,12 @@ impl Relation {
             }
             return;
         }
-        // Columnar scan fallback. A column outside the arity matches
-        // nothing (same contract the tuple-at-a-time scan had); extra
-        // probe columns beyond the key (or vice versa) are ignored.
-        let mut pairs: Vec<(&[Value], Value)> = Vec::with_capacity(cols.len().min(key.len()));
+        // Columnar scan fallback, with the index path's contract: a
+        // mis-sized key or a column outside the arity matches nothing.
+        if key.len() != cols.len() {
+            return;
+        }
+        let mut pairs: Vec<(&[Value], Value)> = Vec::with_capacity(cols.len());
         for (&c, &v) in cols.iter().zip(key) {
             match self.cols.get(c) {
                 Some(col) => pairs.push((col.as_slice(), v)),
@@ -454,6 +490,41 @@ impl PartialEq for Relation {
 }
 impl Eq for Relation {}
 
+/// Row ids filed under one bucket hash. Nearly every bucket holds a
+/// single id, so it stays inline and only a real hash collision spills
+/// to the heap — the `One | Many` idiom of the message plane's `Pack`.
+#[derive(Clone, Debug)]
+enum Ids {
+    One(u32),
+    Many(Vec<u32>),
+}
+
+impl Ids {
+    fn as_slice(&self) -> &[u32] {
+        match self {
+            Ids::One(id) => std::slice::from_ref(id),
+            Ids::Many(ids) => ids,
+        }
+    }
+}
+
+/// Append row `id` to the bucket for hash `h`, spilling a singleton to
+/// the heap on its first collision.
+fn file_id(buckets: &mut FastMap<u64, Ids>, h: u64, id: u32) {
+    match buckets.entry(h) {
+        Entry::Vacant(e) => {
+            e.insert(Ids::One(id));
+        }
+        Entry::Occupied(mut e) => match e.get_mut() {
+            Ids::One(first) => {
+                let first = *first;
+                e.insert(Ids::Many(vec![first, id]));
+            }
+            Ids::Many(ids) => ids.push(id),
+        },
+    }
+}
+
 /// A hash index from values of a column subset to candidate row ids.
 ///
 /// The map is keyed by the *hash* of the key, not the key itself — the
@@ -465,7 +536,7 @@ impl Eq for Relation {}
 pub struct KeyIndex {
     cols: Vec<usize>,
     /// Bucket-hash of the projected key → candidate row ids.
-    buckets: FastMap<u64, Vec<u32>>,
+    buckets: FastMap<u64, Ids>,
 }
 
 impl KeyIndex {
@@ -478,7 +549,7 @@ impl KeyIndex {
             buckets: FastMap::default(),
         };
         for (i, h) in rel.key_hashes(cols).into_iter().enumerate() {
-            idx.buckets.entry(h).or_default().push(i as u32);
+            file_id(&mut idx.buckets, h, i as u32);
         }
         Ok(idx)
     }
@@ -495,14 +566,14 @@ impl KeyIndex {
             .cols
             .iter()
             .fold(0, |h, &c| fold_key_word(h, t[c].key_word()));
-        self.buckets.entry(h).or_default().push(row_id);
+        file_id(&mut self.buckets, h, row_id);
     }
 
     /// Unverified candidate row ids in the bucket for a precomputed key
     /// hash. The batch join kernels pair this with [`KeyIndex::verify`]
     /// after a [`Relation::key_hashes`] pass.
     pub(crate) fn candidates(&self, hash: u64) -> &[u32] {
-        self.buckets.get(&hash).map_or(&[], Vec::as_slice)
+        self.buckets.get(&hash).map_or(&[], Ids::as_slice)
     }
 
     /// True if arena row `id` of `rel` matches `key` on the indexed
@@ -802,6 +873,149 @@ mod tests {
                 assert_eq!(col[i], row[c], "mirror diverged at row {i} col {c}");
             }
         }
+    }
+
+    #[test]
+    fn insert_values_agrees_with_insert() {
+        let mut r = Relation::new(2);
+        r.ensure_index(&[1]).unwrap();
+        assert!(r.insert_values(&[Value::int(1), Value::int(2)]).unwrap());
+        assert!(!r.insert(tuple![1, 2]).unwrap());
+        assert!(r.insert(tuple![3, 2]).unwrap());
+        assert!(!r.insert_values(&[Value::int(3), Value::int(2)]).unwrap());
+        assert_eq!(r.rows(), &[tuple![1, 2], tuple![3, 2]]);
+        assert_eq!(r.column(0), &[Value::int(1), Value::int(3)]);
+        assert_eq!(r.lookup(&[1], &tuple![2]).len(), 2, "index maintained");
+        assert_eq!(
+            r.insert_values(&[Value::int(1)]),
+            Err(StorageError::ArityMismatch {
+                expected: 2,
+                got: 1
+            })
+        );
+    }
+
+    #[test]
+    fn mis_sized_keys_match_nothing_with_or_without_an_index() {
+        let mut r = rel(&[tuple![1, 10], tuple![1, 11], tuple![2, 20]]);
+        let long = tuple![1, 10];
+        let short = [Value::int(1)];
+        for indexed in [false, true] {
+            if indexed {
+                r.ensure_index(&[0]).unwrap();
+                r.ensure_index(&[0, 1]).unwrap();
+            }
+            assert!(
+                r.probe(&[0], long.values()).is_empty(),
+                "indexed: {indexed}"
+            );
+            assert!(r.lookup(&[0], &long).is_empty(), "indexed: {indexed}");
+            assert!(
+                r.probe_cloned(&[0, 1], &short).is_empty(),
+                "indexed: {indexed}"
+            );
+            assert!(
+                crate::ops::select_on(&r, &[0], &long).unwrap().is_empty(),
+                "indexed: {indexed}"
+            );
+            // A well-sized key still answers the same on both paths.
+            assert_eq!(r.probe(&[0], &short).len(), 2, "indexed: {indexed}");
+        }
+    }
+
+    /// The inverse of `SEED` modulo 2^64 (Newton's iteration; `SEED` is
+    /// odd, so the last multiply of a hash fold can be undone).
+    fn seed_inverse() -> u64 {
+        let seed = fold_key_word(0, 1); // 1 · SEED
+        let mut inv = seed;
+        for _ in 0..6 {
+            inv = inv.wrapping_mul(2u64.wrapping_sub(seed.wrapping_mul(inv)));
+        }
+        assert_eq!(seed.wrapping_mul(inv), 1);
+        inv
+    }
+
+    /// An integer `w` such that `prefix ++ [w]` hashes like `target`
+    /// under `hash`, whose last step must be the fold of the final
+    /// integer's word. Undoing that multiply exposes the rotated state
+    /// before it for both rows; `w` xors one state into the other.
+    fn collide(hash: impl Fn(&[Value]) -> u64, target: &[Value], prefix: &[Value]) -> Value {
+        let inv = seed_inverse();
+        let word = |v: &Value| v.as_int().expect("integer final column") as u64;
+        let before = |row: &[Value]| hash(row).wrapping_mul(inv) ^ word(row.last().unwrap());
+        let mut probe = prefix.to_vec();
+        probe.push(Value::int(0));
+        let w = before(target) ^ before(&probe) ^ word(target.last().unwrap());
+        *probe.last_mut().unwrap() = Value::int(w as i64);
+        assert_eq!(hash(&probe), hash(target), "forced collision");
+        assert_ne!(probe.as_slice(), target);
+        probe[prefix.len()]
+    }
+
+    #[test]
+    fn forced_collisions_in_the_dedup_map() {
+        let row_hash = |vals: &[Value]| BuildHasherDefault::<FastHasher>::default().hash_one(vals);
+        let a = [Value::int(1), Value::int(5)];
+        let b = [Value::int(2), collide(row_hash, &a, &[Value::int(2)])];
+        let c = [Value::int(3), collide(row_hash, &a, &[Value::int(3)])];
+        let h = row_hash(&a);
+        let mut r = Relation::new(2);
+        assert!(r.insert(Tuple::from(&a[..])).unwrap());
+        assert!(matches!(r.dedup[&h], Ids::One(0)), "first id inline");
+        assert!(!r.contains(&Tuple::from(&b[..])));
+        assert!(
+            r.insert_values(&b).unwrap(),
+            "a collision is not a duplicate"
+        );
+        assert!(
+            matches!(&r.dedup[&h], Ids::Many(ids) if ids == &[0, 1]),
+            "promoted on the first collision"
+        );
+        assert!(!r.insert_values(&a).unwrap());
+        assert!(!r.insert(Tuple::from(&b[..])).unwrap());
+        assert!(r.insert(Tuple::from(&c[..])).unwrap());
+        assert!(!r.insert_values(&c).unwrap());
+        assert!(matches!(&r.dedup[&h], Ids::Many(ids) if ids == &[0, 1, 2]));
+        for row in [&a, &b, &c] {
+            assert!(r.contains(&Tuple::from(&row[..])));
+        }
+        assert!(!r.contains(&tuple![2, 5]));
+        assert_eq!(r.len(), 3);
+        assert_eq!(r.dedup.len(), 1);
+        assert_eq!(r.rows()[1].values(), b);
+    }
+
+    #[test]
+    fn forced_collisions_in_a_key_index() {
+        let a = [Value::int(1), Value::int(5)];
+        let b = [Value::int(2), collide(key_hash, &a, &[Value::int(2)])];
+        let h = key_hash(&a);
+        let row = |k: &[Value; 2], v: i64| Tuple::from(&[k[0], k[1], Value::int(v)][..]);
+        let rows = [row(&a, 10), row(&b, 20), row(&a, 30), tuple![9, 9, 40]];
+        // One index maintained row by row, one built over the finished
+        // relation: both file the colliding keys under one bucket.
+        let mut r = Relation::new(3);
+        r.ensure_index(&[0, 1]).unwrap();
+        for t in &rows {
+            r.insert(t.clone()).unwrap();
+        }
+        let built = KeyIndex::build(&r, &[0, 1]).unwrap();
+        for idx in [r.index_for(&[0, 1]).unwrap(), &built] {
+            assert!(matches!(&idx.buckets[&h], Ids::Many(ids) if ids == &[0, 1, 2]));
+            assert!(matches!(
+                idx.buckets[&key_hash(&rows[3].values()[..2])],
+                Ids::One(3)
+            ));
+            assert_eq!(idx.probe_in(&r, &a).collect::<Vec<_>>(), [0, 2]);
+            assert_eq!(idx.probe_in(&r, &b).collect::<Vec<_>>(), [1]);
+            // Distinct keys up to collisions: three keys, two hashes.
+            assert_eq!(idx.distinct_keys(), 2);
+        }
+        assert_eq!(r.probe(&[0, 1], &a), [&rows[0], &rows[2]]);
+        assert_eq!(r.probe_cloned(&[0, 1], &b), [rows[1].clone()]);
+        // The scan path agrees in arena order.
+        let scan = rel(&rows);
+        assert_eq!(scan.probe(&[0, 1], &a), [&rows[0], &rows[2]]);
     }
 
     #[test]

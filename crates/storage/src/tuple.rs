@@ -108,6 +108,12 @@ impl FromIterator<Value> for Tuple {
     }
 }
 
+impl From<&[Value]> for Tuple {
+    fn from(values: &[Value]) -> Self {
+        Tuple(Arc::from(values))
+    }
+}
+
 impl<const N: usize> From<[Value; N]> for Tuple {
     fn from(values: [Value; N]) -> Self {
         Tuple(Arc::from(values))
