@@ -40,7 +40,7 @@
 //! of deadlocking.
 
 use crate::msg::Msg;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 /// One scheduled node crash: the process loses its volatile state right
 /// after it has processed its `after_processed`-th message (counting
@@ -145,8 +145,12 @@ impl FaultPlan {
     }
 
     /// Decide the fate of one message copy, purely from
-    /// `(seed, from, to, seq, attempt)`.
+    /// `(seed, from, to, seq, attempt)`. With every rate at or below
+    /// zero no roll can succeed, so the copy is clean without hashing.
     pub fn fate(&self, from: u64, to: u64, seq: u64, attempt: u32) -> Fate {
+        if self.drop <= 0.0 && self.duplicate <= 0.0 && self.corrupt <= 0.0 && self.delay <= 0.0 {
+            return Fate::clean();
+        }
         let h = mix(self.seed)
             ^ mix(from.wrapping_add(0x9E37_79B9))
             ^ mix(to.wrapping_add(0x7F4A_7C15)).rotate_left(17)
@@ -218,8 +222,10 @@ fn roll(h: u64, salt: u64) -> f64 {
 pub struct SenderLink<T = Msg> {
     /// Next sequence number to assign.
     pub next_seq: u64,
-    /// Sent but not yet cumulatively acked, by sequence number.
-    pub unacked: BTreeMap<u64, T>,
+    /// Sent but not yet cumulatively acked, oldest first: a ring holding
+    /// sequence numbers `base()..next_seq`. Cumulative acks only ever
+    /// remove a prefix, so the front is always the window base.
+    pub unacked: VecDeque<T>,
     /// Timestamp (steps or ms) of the last send/retransmit activity.
     pub last_activity: u64,
     /// Consecutive retransmission rounds without an ack.
@@ -239,7 +245,7 @@ impl<T> Default for SenderLink<T> {
     fn default() -> Self {
         SenderLink {
             next_seq: 0,
-            unacked: BTreeMap::new(),
+            unacked: VecDeque::new(),
             last_activity: 0,
             retries: 0,
             window: None,
@@ -248,23 +254,27 @@ impl<T> Default for SenderLink<T> {
     }
 }
 
-impl<T: Clone> SenderLink<T> {
+impl<T> SenderLink<T> {
     /// Register a logical send; returns the assigned sequence number.
     pub fn send(&mut self, msg: T, now: u64) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.unacked.insert(seq, msg);
+        self.unacked.push_back(msg);
         self.last_activity = now;
         seq
     }
 
-    /// Apply a cumulative ack: everything below `upto` is delivered.
+    /// Apply a cumulative ack: everything below `upto` is delivered. Any
+    /// ack while something is unacked resets the retry count, stale or
+    /// not.
     pub fn ack_upto(&mut self, upto: u64) {
-        let keep = self.unacked.split_off(&upto);
-        if self.unacked.len() != keep.len() || !self.unacked.is_empty() {
+        if !self.unacked.is_empty() {
             self.retries = 0;
         }
-        self.unacked = keep;
+        let acked = upto
+            .saturating_sub(self.base())
+            .min(self.unacked.len() as u64);
+        self.unacked.drain(..acked as usize);
     }
 
     /// True when a retransmission is due at `now`.
@@ -274,7 +284,17 @@ impl<T: Clone> SenderLink<T> {
 
     /// Oldest unacked sequence number — the window base.
     fn base(&self) -> u64 {
-        self.unacked.keys().next().copied().unwrap_or(self.next_seq)
+        self.next_seq - self.unacked.len() as u64
+    }
+
+    /// The buffered message with sequence number `seq`, if still unacked.
+    pub fn get(&self, seq: u64) -> Option<&T> {
+        self.unacked.get(seq.checked_sub(self.base())? as usize)
+    }
+
+    /// Sequence numbers to retransmit: unacked and on the wire before.
+    pub fn on_wire(&self) -> std::ops::Range<u64> {
+        self.base()..self.wire_hi.max(self.base())
     }
 
     /// True when `seq` fits inside the current send window. Always true
@@ -300,30 +320,25 @@ impl<T: Clone> SenderLink<T> {
     }
 
     /// Stalled frames that the last cumulative ack just released into
-    /// the window, oldest first; marks them transmitted. The caller
+    /// the window, oldest first, as a range of sequence numbers (read
+    /// each with [`SenderLink::get`]); marks them transmitted. The caller
     /// puts each on the wire (first attempt).
-    pub fn release(&mut self) -> Vec<(u64, T)> {
+    pub fn release(&mut self) -> std::ops::Range<u64> {
         let Some(w) = self.window else {
-            return Vec::new();
+            return 0..0;
         };
-        let limit = self.base().saturating_add(w);
-        let mut out = Vec::new();
-        for (&seq, msg) in self.unacked.range(self.wire_hi..) {
-            if seq >= limit {
-                break;
-            }
-            out.push((seq, msg.clone()));
+        let from = self.wire_hi.max(self.base());
+        let to = self.base().saturating_add(w).min(self.next_seq).max(from);
+        if to > from {
+            self.wire_hi = to;
         }
-        if let Some((s, _)) = out.last() {
-            self.wire_hi = s + 1;
-        }
-        out
+        from..to
     }
 
     /// Frames currently stalled by the window (queued, never on the
     /// wire).
     pub fn stalled(&self) -> usize {
-        self.unacked.range(self.wire_hi..).count()
+        self.next_seq.saturating_sub(self.wire_hi.max(self.base())) as usize
     }
 }
 
@@ -337,6 +352,10 @@ pub struct ReceiverLink<T = Msg> {
     pub next_expected: u64,
     /// Out-of-order arrivals waiting for the gap to fill.
     pub reorder: BTreeMap<u64, T>,
+    /// Data arrived since the last cumulative ack went out: the link is
+    /// owed one. The driver sends it at the end of the delivery round,
+    /// or earlier, ahead of data it sends back on the link.
+    pub ack_owed: bool,
 }
 
 impl<T> Default for ReceiverLink<T> {
@@ -344,16 +363,17 @@ impl<T> Default for ReceiverLink<T> {
         ReceiverLink {
             next_expected: 0,
             reorder: BTreeMap::new(),
+            ack_owed: false,
         }
     }
 }
 
 /// What [`ReceiverLink::accept`] did with a frame.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Accepted<T = Msg> {
-    /// The frame (plus any reorder-buffered successors) is deliverable,
-    /// in order.
-    Deliver(Vec<T>),
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Accepted {
+    /// The frame (plus any reorder-buffered successors) was appended to
+    /// the caller's buffer, in order.
+    Deliver,
     /// Already delivered — a transport-level duplicate; re-ack and drop.
     Duplicate,
     /// Out of order — buffered until the gap fills; ack not advanced.
@@ -361,8 +381,9 @@ pub enum Accepted<T = Msg> {
 }
 
 impl<T> ReceiverLink<T> {
-    /// Accept one data frame.
-    pub fn accept(&mut self, seq: u64, msg: T) -> Accepted<T> {
+    /// Accept one data frame; what becomes deliverable is appended to
+    /// `out`, in link order.
+    pub fn accept(&mut self, seq: u64, msg: T, out: &mut Vec<T>) -> Accepted {
         use std::cmp::Ordering;
         match seq.cmp(&self.next_expected) {
             Ordering::Less => Accepted::Duplicate,
@@ -371,13 +392,13 @@ impl<T> ReceiverLink<T> {
                 Accepted::Buffered
             }
             Ordering::Equal => {
-                let mut out = vec![msg];
+                out.push(msg);
                 self.next_expected += 1;
                 while let Some(m) = self.reorder.remove(&self.next_expected) {
                     out.push(m);
                     self.next_expected += 1;
                 }
-                Accepted::Deliver(out)
+                Accepted::Deliver
             }
         }
     }
@@ -458,26 +479,25 @@ mod tests {
     #[test]
     fn receiver_restores_fifo_and_suppresses_duplicates() {
         let mut rl = ReceiverLink::default();
+        let mut out = Vec::new();
         // 1 arrives before 0: buffered.
-        assert_eq!(rl.accept(1, msg(1)), Accepted::Buffered);
+        assert_eq!(rl.accept(1, msg(1), &mut out), Accepted::Buffered);
+        assert!(out.is_empty());
         // 0 arrives: both become deliverable, in order.
-        match rl.accept(0, msg(0)) {
-            Accepted::Deliver(msgs) => {
-                assert_eq!(msgs.len(), 2);
-                assert!(matches!(
-                    msgs[0].payload,
-                    Payload::EndRequest { wave: 0, .. }
-                ));
-                assert!(matches!(
-                    msgs[1].payload,
-                    Payload::EndRequest { wave: 1, .. }
-                ));
-            }
-            other => panic!("expected delivery, got {other:?}"),
-        }
-        // Replays of either are duplicates.
-        assert_eq!(rl.accept(0, msg(0)), Accepted::Duplicate);
-        assert_eq!(rl.accept(1, msg(1)), Accepted::Duplicate);
+        assert_eq!(rl.accept(0, msg(0), &mut out), Accepted::Deliver);
+        assert_eq!(out.len(), 2);
+        assert!(matches!(
+            out[0].payload,
+            Payload::EndRequest { wave: 0, .. }
+        ));
+        assert!(matches!(
+            out[1].payload,
+            Payload::EndRequest { wave: 1, .. }
+        ));
+        // Replays of either are duplicates and deliver nothing.
+        assert_eq!(rl.accept(0, msg(0), &mut out), Accepted::Duplicate);
+        assert_eq!(rl.accept(1, msg(1), &mut out), Accepted::Duplicate);
+        assert_eq!(out.len(), 2);
     }
 
     #[test]
@@ -498,8 +518,8 @@ mod tests {
         // released exactly once, in order.
         sl.ack_upto(1);
         let rel = sl.release();
-        assert_eq!(rel.len(), 1);
-        assert_eq!(rel[0].0, s2);
+        assert_eq!(rel.clone().count(), 1);
+        assert_eq!(rel.start, s2);
         assert_eq!(sl.stalled(), 0);
         assert!(sl.release().is_empty());
     }
@@ -528,5 +548,105 @@ mod tests {
         sl.ack_upto(2);
         assert!(sl.unacked.is_empty());
         assert!(!sl.due(10_000, 100));
+    }
+
+    /// A link with a window of 2 holding seqs 0..5, of which 0 and 1
+    /// are on the wire and 2..5 stalled.
+    fn windowed_with_five() -> SenderLink {
+        let mut sl = SenderLink {
+            window: Some(2),
+            ..SenderLink::default()
+        };
+        for i in 0..5 {
+            let s = sl.send(msg(i), 0);
+            assert_eq!(sl.admit(s), s < 2);
+        }
+        assert_eq!((sl.base(), sl.wire_hi, sl.stalled()), (0, 2, 3));
+        sl
+    }
+
+    fn wave(m: Option<&Msg>) -> Option<u64> {
+        match m?.payload {
+            Payload::EndRequest { wave, .. } => Some(wave),
+            _ => None,
+        }
+    }
+
+    #[test]
+    fn stale_ack_changes_nothing_but_the_retry_count() {
+        let mut sl = windowed_with_five();
+        sl.ack_upto(2);
+        let _ = sl.release();
+        sl.retries = 3;
+        // An ack below the base (a late or duplicated one) removes
+        // nothing; with frames unacked it still resets the retries.
+        sl.ack_upto(1);
+        assert_eq!((sl.base(), sl.unacked.len(), sl.retries), (2, 3, 0));
+        assert_eq!(wave(sl.get(2)), Some(2));
+        assert_eq!(sl.get(1), None, "acked frames are gone");
+        assert_eq!(sl.stalled(), 1);
+        assert!(sl.release().is_empty(), "a stale ack frees no credit");
+        assert_eq!(sl.on_wire(), 2..4);
+    }
+
+    #[test]
+    fn ack_beyond_next_seq_empties_the_buffer() {
+        let mut sl = windowed_with_five();
+        sl.ack_upto(99);
+        assert!(sl.unacked.is_empty());
+        assert_eq!((sl.base(), sl.next_seq), (5, 5));
+        assert_eq!(sl.stalled(), 0);
+        assert!(sl.release().is_empty());
+        assert!(sl.on_wire().is_empty(), "nothing left to retransmit");
+        // The next send continues the sequence and fits the window.
+        let s = sl.send(msg(5), 0);
+        assert_eq!(s, 5);
+        assert!(sl.admit(s));
+        assert_eq!((sl.stalled(), sl.on_wire()), (0, 5..6));
+        // Acks with nothing unacked leave the retry count alone.
+        sl.ack_upto(6);
+        sl.retries = 2;
+        sl.ack_upto(7);
+        assert_eq!(sl.retries, 2);
+    }
+
+    #[test]
+    fn partial_ack_releases_only_the_freed_credits() {
+        let mut sl = windowed_with_five();
+        // One frame acked: one credit, one stalled frame released.
+        sl.ack_upto(1);
+        assert_eq!(sl.stalled(), 3, "an ack alone does not transmit");
+        assert_eq!(sl.release(), 2..3);
+        assert_eq!((sl.wire_hi, sl.stalled()), (3, 2));
+        assert!(sl.release().is_empty(), "released exactly once");
+        // Two more acked: the window slides over both remaining frames.
+        sl.ack_upto(3);
+        assert_eq!(sl.release(), 3..5);
+        assert_eq!(sl.stalled(), 0);
+        assert_eq!(
+            sl.on_wire().map(|s| wave(sl.get(s))).collect::<Vec<_>>(),
+            [Some(3), Some(4)]
+        );
+    }
+
+    #[test]
+    fn retransmit_range_covers_only_frames_on_the_wire() {
+        let mut sl = windowed_with_five();
+        assert_eq!(sl.on_wire(), 0..2, "stalled frames are never resent");
+        sl.ack_upto(1);
+        assert_eq!(sl.on_wire(), 1..2);
+        let _ = sl.release();
+        assert_eq!(sl.on_wire(), 1..3);
+        assert_eq!(sl.stalled(), 2);
+        sl.ack_upto(3);
+        assert_eq!((sl.on_wire(), sl.stalled()), (3..3, 2));
+        // Without a window every send goes straight to the wire.
+        let mut open = SenderLink::default();
+        for i in 0..3 {
+            let s = open.send(msg(i), 0);
+            assert!(open.admit(s));
+        }
+        open.ack_upto(1);
+        assert_eq!((open.on_wire(), open.stalled()), (1..3, 0));
     }
 }

@@ -265,11 +265,20 @@ impl StepGuard {
     }
 }
 
-/// The simulator's recovery wire: in-flight frames keyed by
-/// `(deliver_at, uid)` — a deterministic total order over logical time.
+/// The simulator's recovery wire: in-flight frames in a deterministic
+/// total order over logical time, `(deliver_at, uid)`.
+///
+/// An undelayed frame is due at `now + 1`, and `now` never decreases, so
+/// undelayed frames are put already in that order: they queue on a ring
+/// (`lane`). Only frames the fault plan delays go through the ordered
+/// map. [`SimWire::pop_due`] takes whichever head is smaller, which is
+/// the order a single map over every frame would give.
 #[derive(Default)]
 struct SimWire {
-    frames: BTreeMap<(u64, u64), (Endpoint, Frame)>,
+    /// Undelayed frames: `(deliver_at, uid, to, frame)`, ascending.
+    lane: VecDeque<(u64, u64, Endpoint, Frame)>,
+    /// Delayed frames by `(deliver_at, uid)`.
+    delayed: BTreeMap<(u64, u64), (Endpoint, Frame)>,
     uid: u64,
     /// Logical time: one tick per delivery step.
     now: u64,
@@ -277,9 +286,42 @@ struct SimWire {
 
 impl Wire for SimWire {
     fn put(&mut self, to: Endpoint, frame: Frame, delay: u64) {
-        self.frames
-            .insert((self.now + 1 + delay, self.uid), (to, frame));
+        let at = self.now + 1 + delay;
+        if delay == 0 {
+            self.lane.push_back((at, self.uid, to, frame));
+        } else {
+            self.delayed.insert((at, self.uid), (to, frame));
+        }
         self.uid += 1;
+    }
+}
+
+impl SimWire {
+    /// `(deliver_at, uid)` of the next frame in flight, if any.
+    fn head(&self) -> Option<(u64, u64)> {
+        let lane = self.lane.front().map(|&(at, uid, ..)| (at, uid));
+        let delayed = self.delayed.keys().next().copied();
+        match (lane, delayed) {
+            (Some(l), Some(d)) => Some(l.min(d)),
+            (l, d) => l.or(d),
+        }
+    }
+
+    /// Take the next frame in flight if it is due at or before `now`.
+    fn pop_due(&mut self) -> Option<(Endpoint, Frame)> {
+        let head = self.head()?;
+        if head.0 > self.now {
+            return None;
+        }
+        if self
+            .lane
+            .front()
+            .is_some_and(|&(at, uid, ..)| (at, uid) == head)
+        {
+            self.lane.pop_front().map(|(_, _, to, frame)| (to, frame))
+        } else {
+            self.delayed.pop_first().map(|(_, entry)| entry)
+        }
     }
 }
 
@@ -503,6 +545,8 @@ impl SimRuntime {
             mailboxes: Mailboxes::new(n, self.schedule),
             trace: self.trace.then(Vec::new),
             sink: EngineSink::new(network.answer_arity),
+            delivered: Vec::new(),
+            owing: Vec::new(),
         };
         let mut processed: Vec<u64> = vec![0; n];
         let mut trip: Option<Trip> = None;
@@ -529,7 +573,7 @@ impl SimRuntime {
                 // No deliverable message. Advance time to the next wire
                 // event, or force a retransmission round, or — with
                 // everything drained and acked — stop.
-                if let Some((&(t, _), _)) = sim.wire.frames.first_key_value() {
+                if let Some((t, _)) = sim.wire.head() {
                     sim.wire.now = sim.wire.now.max(t);
                     continue;
                 }
@@ -642,6 +686,10 @@ struct FaultySim {
     mailboxes: Mailboxes<Stamped>,
     trace: Option<Vec<Msg>>,
     sink: EngineSink,
+    /// What one frame made deliverable; reused across frames and rounds.
+    delivered: Vec<Stamped>,
+    /// Drivers owing acks in the current delivery round, each once.
+    owing: Vec<usize>,
 }
 
 impl FaultySim {
@@ -655,16 +703,21 @@ impl FaultySim {
     }
 
     /// Hand every wire frame due at or before `now` to its addressee's
-    /// driver, and what that makes deliverable to the mailbox or engine.
+    /// driver, and what that makes deliverable to the mailbox or engine;
+    /// then end the round with one cumulative ack per link that received
+    /// data. Acks put during the round are due at `now + 1`, so none is
+    /// delivered in the round that sent it.
     fn deliver_due(&mut self, governor: &Governor) -> Result<(), RuntimeError> {
         let engine = self.drivers.len() - 1;
-        while let Some(entry) = self.wire.frames.first_entry() {
-            if entry.key().0 > self.wire.now {
-                break;
+        while let Some((to, frame)) = self.wire.pop_due() {
+            let idx = to.node().unwrap_or(engine);
+            let driver = &mut self.drivers[idx];
+            let owed_before = driver.owes_acks();
+            driver.on_frame(frame, &mut self.wire, &mut self.delivered);
+            if !owed_before && driver.owes_acks() {
+                self.owing.push(idx);
             }
-            let (to, frame) = entry.remove();
-            let driver = &mut self.drivers[to.node().unwrap_or(engine)];
-            for (msg, stamp) in driver.on_frame(frame, &mut self.wire) {
+            for (msg, stamp) in self.delivered.drain(..) {
                 match to {
                     // Engine-bound messages are consumed right here;
                     // node-bound ones are recorded at mailbox pop, when
@@ -680,6 +733,9 @@ impl FaultySim {
                 }
             }
         }
+        for idx in self.owing.drain(..) {
+            self.drivers[idx].flush_acks(&mut self.wire);
+        }
         Ok(())
     }
 
@@ -691,5 +747,83 @@ impl FaultySim {
             any |= driver.retransmit(self.wire.now, force, &mut self.wire)?;
         }
         Ok(any)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Tag a frame with the uid it was put under.
+    fn tagged(uid: u64) -> Frame {
+        Frame::Ack {
+            peer: Endpoint::Engine,
+            upto: uid,
+        }
+    }
+
+    fn tag(frame: &Frame) -> u64 {
+        match frame {
+            Frame::Ack { upto, .. } => *upto,
+            Frame::Data { .. } => unreachable!("only tagged acks are put"),
+        }
+    }
+
+    /// The lane-plus-map wire pops exactly the `(deliver_at, uid)` order
+    /// of one ordered map over every frame, under seeded interleavings
+    /// of undelayed and delayed puts, clock advances, idle jumps and
+    /// delivery rounds.
+    #[test]
+    fn wire_pops_in_deliver_at_then_uid_order() {
+        let max_delay = 8;
+        for seed in 0..32 {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let mut wire = SimWire::default();
+            let mut reference: BTreeMap<(u64, u64), u64> = BTreeMap::new();
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            for _ in 0..2_000 {
+                match rng.gen_range(0..10) {
+                    0..=4 => {
+                        let delay = if rng.gen_range(0..3) == 0 {
+                            rng.gen_range(1..=max_delay)
+                        } else {
+                            0
+                        };
+                        let uid = wire.uid;
+                        reference.insert((wire.now + 1 + delay, uid), uid);
+                        wire.put(Endpoint::Engine, tagged(uid), delay);
+                    }
+                    5..=6 => wire.now += 1,
+                    7 => {
+                        // The simulator's idle jump, to the earliest
+                        // frame in flight on either path.
+                        assert_eq!(wire.head(), reference.keys().next().copied());
+                        if let Some((t, _)) = wire.head() {
+                            wire.now = wire.now.max(t);
+                        }
+                    }
+                    _ => {
+                        // A delivery round.
+                        while let Some((_, frame)) = wire.pop_due() {
+                            got.push(tag(&frame));
+                        }
+                        while let Some(entry) = reference.first_entry() {
+                            if entry.key().0 > wire.now {
+                                break;
+                            }
+                            want.push(entry.remove());
+                        }
+                        assert_eq!(wire.head(), reference.keys().next().copied());
+                    }
+                }
+            }
+            wire.now = u64::MAX - max_delay - 1;
+            while let Some((_, frame)) = wire.pop_due() {
+                got.push(tag(&frame));
+            }
+            want.extend(reference.into_values());
+            assert_eq!(got, want, "seed {seed}");
+            assert!(wire.lane.is_empty() && wire.delayed.is_empty());
+        }
     }
 }

@@ -399,10 +399,19 @@ impl Port {
         }
     }
 
-    /// Take one recovery frame off the wire; returns the logical
-    /// messages now deliverable in order, each with its causal stamp.
-    fn on_frame(&mut self, frame: Frame) -> Vec<Stamped> {
-        self.d.on_frame(frame, &mut self.wire)
+    /// Take one recovery frame off the wire; appends the logical
+    /// messages now deliverable to `out` in order, each with its causal
+    /// stamp.
+    fn on_frame(&mut self, frame: Frame, out: &mut Vec<Stamped>) {
+        self.d.on_frame(frame, &mut self.wire, out);
+    }
+
+    /// Send the cumulative acks this endpoint owes. Called before the
+    /// endpoint stops delivering (the end of an activation; at the
+    /// engine, every frame): acks free the senders' credits, so an owed
+    /// ack held while the node is parked could stall a window for good.
+    fn flush_acks(&mut self) {
+        self.d.flush_acks(&mut self.wire);
     }
 
     /// Fault-mode transport maintenance: release delayed frames whose
@@ -427,6 +436,8 @@ struct NodeState {
     processed: u64,
     /// Reusable output buffer for `Process::handle`.
     scratch: Vec<Msg>,
+    /// Reusable buffer for what one recovery frame makes deliverable.
+    delivered: Vec<Stamped>,
     /// The node hit a fatal condition (crash with recovery disabled,
     /// retransmission budget exhausted); its traffic is discarded from
     /// here on (the `Fatal` frame it sent aborts the run).
@@ -445,12 +456,15 @@ impl NodeState {
         match frame {
             TMsg::Plain(msg, stamp) => self.process_msg(msg, stamp, mb),
             TMsg::Wire(frame) => {
-                for (msg, stamp) in self.t.on_frame(frame) {
+                let mut delivered = std::mem::take(&mut self.delivered);
+                self.t.on_frame(frame, &mut delivered);
+                for (msg, stamp) in delivered.drain(..) {
                     if self.fatal {
                         break;
                     }
                     self.process_msg(msg, stamp, mb);
                 }
+                self.delivered = delivered;
             }
             // Fatal frames are addressed to the engine only.
             TMsg::Fatal(_) => {}
@@ -586,6 +600,7 @@ impl PoolWorker {
                 }
             }
             if self.fault_mode && !st.fatal {
+                st.t.flush_acks();
                 st.maintain();
             }
         }
@@ -741,6 +756,7 @@ impl ThreadRuntime {
                         process,
                         processed: 0,
                         scratch: Vec::new(),
+                        delivered: Vec::new(),
                         fatal: false,
                     })
                 })
@@ -790,6 +806,7 @@ impl ThreadRuntime {
 
         // Collect until the final End (or timeout / budget trip).
         let deadline = start + timeout;
+        let mut delivered: Vec<Stamped> = Vec::new();
         let mut tripped: Option<Trip> = None;
         let mut result: Result<(), RuntimeError> = loop {
             let now = Instant::now();
@@ -824,13 +841,16 @@ impl ThreadRuntime {
             };
             match engine_rx.recv_timeout(wait) {
                 Ok(frame) => {
-                    let msgs = match frame {
-                        TMsg::Plain(m, s) => vec![(m, s)],
-                        TMsg::Wire(frame) => t.on_frame(frame),
+                    match frame {
+                        TMsg::Plain(m, s) => delivered.push((m, s)),
+                        TMsg::Wire(frame) => {
+                            t.on_frame(frame, &mut delivered);
+                            t.flush_acks();
+                        }
                         TMsg::Fatal(e) => break Err(e),
-                    };
+                    }
                     let mut ended = Ok(false);
-                    for (m, s) in msgs {
+                    for (m, s) in delivered.drain(..) {
                         t.d.note_deliver(&m, s.as_deref());
                         ended = sink.accept(m);
                         if !matches!(ended, Ok(false)) {

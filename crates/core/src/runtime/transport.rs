@@ -103,6 +103,10 @@ pub(crate) struct Driver {
     pub tracer: Option<Tracer>,
     outgoing: BTreeMap<Endpoint, SenderLink<Stamped>>,
     incoming: BTreeMap<Endpoint, ReceiverLink<Stamped>>,
+    /// Links that received data since the last [`Driver::flush_acks`],
+    /// in first-arrival order, each listed once: every one is owed one
+    /// cumulative ack.
+    owed: Vec<Endpoint>,
     /// Acks sent so far: the distinct fate-hash input per ack frame
     /// (acks have no sequence number of their own).
     acks_sent: u64,
@@ -133,6 +137,7 @@ impl Driver {
             tracer,
             outgoing: BTreeMap::new(),
             incoming: BTreeMap::new(),
+            owed: Vec::new(),
             acks_sent: 0,
             pristine,
             log: Vec::new(),
@@ -191,10 +196,14 @@ impl Driver {
     /// A logical send: counted and stamped, sequenced into the link's
     /// durable buffer, then framed onto the wire — unless the link's
     /// credit window is full, in which case the frame waits in the buffer
-    /// until acks free credits.
+    /// until acks free credits. An ack owed to the addressee goes out
+    /// first, so it never trails data sent after what it acknowledges.
     pub fn send(&mut self, msg: Msg, now: u64, wire: &mut impl Wire) {
         let stamp = self.note_send(&msg);
         let to = msg.to;
+        if !self.owed.is_empty() {
+            self.ack_now(to, wire);
+        }
         let link = self.outgoing.entry(to).or_insert_with(|| SenderLink {
             window: match (self.me, to) {
                 (Endpoint::Node(a), Endpoint::Node(b)) if self.cfg.intra.contains(&(a, b)) => None,
@@ -252,49 +261,64 @@ impl Driver {
         }
     }
 
-    /// Take one frame off the wire; returns the logical messages now
-    /// deliverable, in link order (empty for acks, corrupt frames,
-    /// duplicates and reorder gaps).
-    pub fn on_frame(&mut self, frame: Frame, wire: &mut impl Wire) -> Vec<Stamped> {
+    /// Take one frame off the wire; appends the logical messages now
+    /// deliverable to `out`, in link order (nothing for acks, corrupt
+    /// frames, duplicates and reorder gaps). A data frame, duplicate or
+    /// not, leaves its link owed an ack until [`Driver::flush_acks`].
+    pub fn on_frame(&mut self, frame: Frame, wire: &mut impl Wire, out: &mut Vec<Stamped>) {
         match frame {
-            Frame::Ack { peer, upto } => {
-                self.on_ack(peer, upto, wire);
-                Vec::new()
-            }
+            Frame::Ack { peer, upto } => self.on_ack(peer, upto, wire),
             // Detected checksum failure: discard; no ack, so the sender
             // retransmits a clean copy.
             Frame::Data {
                 corrupted: true, ..
-            } => Vec::new(),
+            } => {}
             Frame::Data {
                 seq, msg, stamp, ..
-            } => self.on_data(seq, msg, stamp, wire),
+            } => self.on_data(seq, msg, stamp, out),
         }
     }
 
-    fn on_data(
-        &mut self,
-        seq: u64,
-        msg: Msg,
-        stamp: Option<Box<Stamp>>,
-        wire: &mut impl Wire,
-    ) -> Vec<Stamped> {
+    fn on_data(&mut self, seq: u64, msg: Msg, stamp: Option<Box<Stamp>>, out: &mut Vec<Stamped>) {
         let from = msg.from;
         let link = self.incoming.entry(from).or_default();
-        let accepted = link.accept(seq, (msg, stamp));
-        let upto = link.next_expected;
-        match accepted {
-            Accepted::Deliver(items) => {
-                self.send_ack(from, upto, wire);
-                items
-            }
-            Accepted::Duplicate => {
-                self.stats.dups_discarded += 1;
-                self.send_ack(from, upto, wire);
-                Vec::new()
-            }
-            Accepted::Buffered => Vec::new(),
+        match link.accept(seq, (msg, stamp), out) {
+            Accepted::Deliver => {}
+            Accepted::Duplicate => self.stats.dups_discarded += 1,
+            // A gap: the cumulative ack cannot advance, and the sender's
+            // retransmission fills it.
+            Accepted::Buffered => return,
         }
+        if !link.ack_owed {
+            link.ack_owed = true;
+            self.owed.push(from);
+        }
+    }
+
+    /// True when some link is owed an ack.
+    pub fn owes_acks(&self) -> bool {
+        !self.owed.is_empty()
+    }
+
+    /// End of a delivery round: send one cumulative ack on every link
+    /// that received data since the last flush. Acks free the sender's
+    /// credits, so a host flushes before it stops delivering — at the end
+    /// of every simulator round and of every pool activation.
+    pub fn flush_acks(&mut self, wire: &mut impl Wire) {
+        for i in 0..self.owed.len() {
+            self.ack_now(self.owed[i], wire);
+        }
+        self.owed.clear();
+    }
+
+    /// Send the ack owed on the link from `to`, if one is.
+    fn ack_now(&mut self, to: Endpoint, wire: &mut impl Wire) {
+        let Some(link) = self.incoming.get_mut(&to).filter(|l| l.ack_owed) else {
+            return;
+        };
+        link.ack_owed = false;
+        let upto = link.next_expected;
+        self.send_ack(to, upto, wire);
     }
 
     /// Send a cumulative ack back to `to`. Acks ride the same faulty
@@ -327,8 +351,11 @@ impl Driver {
         };
         link.ack_upto(upto);
         // Freed credits admit stalled frames, in order.
-        for (seq, item) in link.release() {
-            self.transmit(peer, seq, item, 0, wire);
+        for seq in link.release() {
+            let item = self.outgoing[&peer].get(seq).cloned();
+            if let Some(item) = item {
+                self.transmit(peer, seq, item, 0, wire);
+            }
         }
     }
 
@@ -375,15 +402,13 @@ impl Driver {
             // the wire: stalled frames beyond the window are never
             // forced out by a timer.
             let _ = link.release();
-            let frames: Vec<(u64, Stamped)> = link
-                .unacked
-                .range(..link.wire_hi)
-                .map(|(&seq, item)| (seq, item.clone()))
-                .collect();
-            for (seq, item) in frames {
-                self.stats.retransmits += 1;
-                self.transmit(to, seq, item, retries, wire);
-                any = true;
+            for seq in link.on_wire() {
+                let item = self.outgoing[&to].get(seq).cloned();
+                if let Some(item) = item {
+                    self.stats.retransmits += 1;
+                    self.transmit(to, seq, item, retries, wire);
+                    any = true;
+                }
             }
         }
         Ok(any)
@@ -629,6 +654,13 @@ mod tests {
         }
     }
 
+    /// Hand one frame to `d`; returns what it made deliverable.
+    fn arrive(d: &mut Driver, frame: Frame, wire: &mut Script) -> Vec<Stamped> {
+        let mut out = Vec::new();
+        d.on_frame(frame, wire, &mut out);
+        out
+    }
+
     fn tags(items: &[Stamped]) -> Vec<Msg> {
         items.iter().map(|(m, _)| m.clone()).collect()
     }
@@ -650,12 +682,13 @@ mod tests {
         assert!(a.retransmit(1_000, false, &mut wire).unwrap());
         assert_eq!(a.stats.retransmits, 1);
         let copy = wire.take(B).pop().unwrap();
-        assert_eq!(tags(&b.on_frame(copy.clone(), &mut wire)), [msg(7)]);
+        assert_eq!(tags(&arrive(&mut b, copy.clone(), &mut wire)), [msg(7)]);
         // A second copy of the retransmission is a duplicate, not a
         // second delivery.
-        assert!(b.on_frame(copy, &mut wire).is_empty());
+        assert!(arrive(&mut b, copy, &mut wire).is_empty());
+        b.flush_acks(&mut wire);
         for ack in wire.take(A) {
-            a.on_frame(ack, &mut wire);
+            arrive(&mut a, ack, &mut wire);
         }
         assert!(!a.retransmit(9_999, true, &mut wire).unwrap(), "all acked");
         assert_eq!(a.stats.logical_answers, 1, "one logical send, counted once");
@@ -667,8 +700,11 @@ mod tests {
         let mut wire = Script::default();
         a.send(msg(1), 0, &mut wire);
         let frame = wire.take(B).pop().unwrap();
-        assert_eq!(b.on_frame(frame.clone(), &mut wire).len(), 1);
-        assert!(b.on_frame(frame, &mut wire).is_empty());
+        assert_eq!(arrive(&mut b, frame.clone(), &mut wire).len(), 1);
+        b.flush_acks(&mut wire);
+        // The copy arrives in a later delivery round: it owes its own ack.
+        assert!(arrive(&mut b, frame, &mut wire).is_empty());
+        b.flush_acks(&mut wire);
         assert_eq!(b.stats.dups_discarded, 1);
         let acks: Vec<u64> = wire.take(A).iter().map(ack_of).collect();
         assert_eq!(acks, [1, 1], "the duplicate is re-acked");
@@ -686,8 +722,9 @@ mod tests {
         frames.reverse();
         let mut delivered = Vec::new();
         for f in frames {
-            delivered.push(tags(&b.on_frame(f, &mut wire)));
+            delivered.push(tags(&arrive(&mut b, f, &mut wire)));
         }
+        b.flush_acks(&mut wire);
         assert_eq!(
             delivered,
             [vec![], vec![], vec![msg(0), msg(1), msg(2)]],
@@ -695,6 +732,53 @@ mod tests {
         );
         let acks: Vec<u64> = wire.take(A).iter().map(ack_of).collect();
         assert_eq!(acks, [3], "gaps are not acked; the run is, cumulatively");
+    }
+
+    #[test]
+    fn one_round_owes_one_cumulative_ack_per_link() {
+        let (mut a, mut b) = pair(None, 64, false);
+        let mut wire = Script::default();
+        for tag in 0..3 {
+            a.send(msg(tag), 0, &mut wire);
+        }
+        for f in wire.take(B) {
+            arrive(&mut b, f, &mut wire);
+        }
+        assert!(b.owes_acks());
+        assert!(wire.0.is_empty(), "acks wait for the end of the round");
+        b.flush_acks(&mut wire);
+        assert!(!b.owes_acks());
+        let acks: Vec<u64> = wire.take(A).iter().map(ack_of).collect();
+        assert_eq!(acks, [3]);
+        b.flush_acks(&mut wire);
+        assert!(wire.0.is_empty(), "a flush with nothing owed sends nothing");
+        assert_eq!(b.stats.acks, 1);
+    }
+
+    /// An owed ack is paid before data goes back on the reverse link, so
+    /// the peer never finds it queued behind that data. On the pool a
+    /// trailing ack would sit in the mailbox behind the next probe and
+    /// reset the node's idleness on every wave.
+    #[test]
+    fn an_owed_ack_goes_out_ahead_of_reverse_data() {
+        let (mut a, mut b) = pair(None, 64, false);
+        let mut wire = Script::default();
+        a.send(msg(0), 0, &mut wire);
+        for f in wire.take(B) {
+            arrive(&mut b, f, &mut wire);
+        }
+        let reply = Msg {
+            from: B,
+            to: A,
+            payload: Payload::Answers(Pack::One(tuple![9])),
+        };
+        b.send(reply, 0, &mut wire);
+        let to_a = wire.take(A);
+        assert_eq!(ack_of(&to_a[0]), 1);
+        assert!(matches!(to_a[1], Frame::Data { seq: 0, .. }));
+        b.flush_acks(&mut wire);
+        assert!(wire.0.is_empty(), "the owed ack was already paid");
+        assert_eq!(b.stats.acks, 1);
     }
 
     #[test]
@@ -714,7 +798,8 @@ mod tests {
             stamp,
             corrupted: true,
         };
-        assert!(b.on_frame(garbled, &mut wire).is_empty());
+        assert!(arrive(&mut b, garbled, &mut wire).is_empty());
+        b.flush_acks(&mut wire);
         assert!(wire.0.is_empty(), "no ack: the sender must retransmit");
         assert_eq!(b.stats.acks, 0);
         assert!(a.retransmit(0, true, &mut wire).unwrap());
@@ -737,14 +822,15 @@ mod tests {
 
         let mut delivered = Vec::new();
         for f in first {
-            delivered.extend(tags(&b.on_frame(f, &mut wire)));
+            delivered.extend(tags(&arrive(&mut b, f, &mut wire)));
         }
+        b.flush_acks(&mut wire);
         for ack in wire.take(A) {
-            a.on_frame(ack, &mut wire);
+            arrive(&mut a, ack, &mut wire);
         }
         assert!(!a.under_pressure());
         for f in wire.take(B) {
-            delivered.extend(tags(&b.on_frame(f, &mut wire)));
+            delivered.extend(tags(&arrive(&mut b, f, &mut wire)));
         }
         assert_eq!(delivered, [msg(0), msg(1), msg(2), msg(3)]);
     }
@@ -768,8 +854,8 @@ mod tests {
         // Out-of-order arrival: frame 1 sits in the reorder buffer with
         // its stamp until frame 0 fills the gap.
         let mut again = again.into_iter().rev();
-        assert!(b.on_frame(again.next().unwrap(), &mut wire).is_empty());
-        let delivered = b.on_frame(again.next().unwrap(), &mut wire);
+        assert!(arrive(&mut b, again.next().unwrap(), &mut wire).is_empty());
+        let delivered = arrive(&mut b, again.next().unwrap(), &mut wire);
         let stamps: Vec<_> = delivered.into_iter().map(|(_, s)| s.unwrap()).collect();
         assert_eq!(stamps, sent);
     }

@@ -35,7 +35,6 @@
 use crate::fast_hash::{fold_key_word, FastMap, FastSet};
 use crate::{FastHasher, StorageError, Tuple, Value};
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::hash::{BuildHasher, BuildHasherDefault};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
@@ -70,7 +69,10 @@ pub struct Relation {
     dedup: FastMap<u64, Ids>,
     /// Hash state used to fold a row into the `u64` dedup key.
     state: BuildHasherDefault<FastHasher>,
-    indexes: HashMap<Vec<usize>, KeyIndex>,
+    /// Prepared indexes by column list. Every probe looks its index up
+    /// here, and `push_row` walks them in map order, so the map uses the
+    /// deterministic [`FastHasher`] too.
+    indexes: FastMap<Vec<usize>, KeyIndex>,
     catalogue: Catalogue,
 }
 
@@ -144,7 +146,7 @@ impl Selection {
 #[derive(Debug, Default)]
 struct Catalogue {
     summary: OnceLock<Vec<ColumnSummary>>,
-    indexes: Mutex<HashMap<Vec<usize>, Arc<KeyIndex>>>,
+    indexes: Mutex<FastMap<Vec<usize>, Arc<KeyIndex>>>,
 }
 
 impl Clone for Catalogue {
@@ -175,7 +177,7 @@ impl Relation {
             cols: vec![Vec::new(); arity],
             dedup: FastMap::default(),
             state: BuildHasherDefault::default(),
-            indexes: HashMap::new(),
+            indexes: FastMap::default(),
             catalogue: Catalogue::default(),
         }
     }
