@@ -221,11 +221,13 @@ fn roll(h: u64, salt: u64) -> f64 {
 #[derive(Clone, Debug)]
 pub struct SenderLink<T = Msg> {
     /// Next sequence number to assign.
-    pub next_seq: u64,
+    next_seq: u64,
     /// Sent but not yet cumulatively acked, oldest first: a ring holding
     /// sequence numbers `base()..next_seq`. Cumulative acks only ever
-    /// remove a prefix, so the front is always the window base.
-    pub unacked: VecDeque<T>,
+    /// remove a prefix, so the front is always the window base. Private
+    /// with `next_seq`: a ring index means a sequence number only
+    /// relative to the two together.
+    unacked: VecDeque<T>,
     /// Timestamp (steps or ms) of the last send/retransmit activity.
     pub last_activity: u64,
     /// Consecutive retransmission rounds without an ack.
@@ -255,6 +257,24 @@ impl<T> Default for SenderLink<T> {
 }
 
 impl<T> SenderLink<T> {
+    /// An empty link with the given credit window (`None` = unlimited).
+    pub fn with_window(window: Option<u64>) -> Self {
+        SenderLink {
+            window,
+            ..SenderLink::default()
+        }
+    }
+
+    /// Number of frames sent but not yet acked.
+    pub fn len(&self) -> usize {
+        self.unacked.len()
+    }
+
+    /// True when every frame sent has been acked.
+    pub fn is_empty(&self) -> bool {
+        self.unacked.is_empty()
+    }
+
     /// Register a logical send; returns the assigned sequence number.
     pub fn send(&mut self, msg: T, now: u64) -> u64 {
         let seq = self.next_seq;
@@ -502,10 +522,7 @@ mod tests {
 
     #[test]
     fn window_stalls_and_releases_in_order() {
-        let mut sl = SenderLink {
-            window: Some(2),
-            ..SenderLink::default()
-        };
+        let mut sl = SenderLink::with_window(Some(2));
         let s0 = sl.send(msg(0), 0);
         assert!(sl.admit(s0));
         let s1 = sl.send(msg(1), 0);
@@ -544,19 +561,16 @@ mod tests {
         assert!(!sl.due(11, 100));
         assert!(sl.due(200, 100));
         sl.ack_upto(1);
-        assert_eq!(sl.unacked.len(), 1);
+        assert_eq!(sl.len(), 1);
         sl.ack_upto(2);
-        assert!(sl.unacked.is_empty());
+        assert!(sl.is_empty());
         assert!(!sl.due(10_000, 100));
     }
 
     /// A link with a window of 2 holding seqs 0..5, of which 0 and 1
     /// are on the wire and 2..5 stalled.
     fn windowed_with_five() -> SenderLink {
-        let mut sl = SenderLink {
-            window: Some(2),
-            ..SenderLink::default()
-        };
+        let mut sl = SenderLink::with_window(Some(2));
         for i in 0..5 {
             let s = sl.send(msg(i), 0);
             assert_eq!(sl.admit(s), s < 2);
@@ -581,7 +595,7 @@ mod tests {
         // An ack below the base (a late or duplicated one) removes
         // nothing; with frames unacked it still resets the retries.
         sl.ack_upto(1);
-        assert_eq!((sl.base(), sl.unacked.len(), sl.retries), (2, 3, 0));
+        assert_eq!((sl.base(), sl.len(), sl.retries), (2, 3, 0));
         assert_eq!(wave(sl.get(2)), Some(2));
         assert_eq!(sl.get(1), None, "acked frames are gone");
         assert_eq!(sl.stalled(), 1);
@@ -593,7 +607,7 @@ mod tests {
     fn ack_beyond_next_seq_empties_the_buffer() {
         let mut sl = windowed_with_five();
         sl.ack_upto(99);
-        assert!(sl.unacked.is_empty());
+        assert!(sl.is_empty());
         assert_eq!((sl.base(), sl.next_seq), (5, 5));
         assert_eq!(sl.stalled(), 0);
         assert!(sl.release().is_empty());

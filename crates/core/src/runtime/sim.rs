@@ -708,6 +708,8 @@ impl FaultySim {
     /// data. Acks put during the round are due at `now + 1`, so none is
     /// delivered in the round that sent it.
     fn deliver_due(&mut self, governor: &Governor) -> Result<(), RuntimeError> {
+        // `owing` below tracks only drivers that start owing this round.
+        debug_assert!(self.drivers.iter().all(|d| !d.owes_acks()));
         let engine = self.drivers.len() - 1;
         while let Some((to, frame)) = self.wire.pop_due() {
             let idx = to.node().unwrap_or(engine);

@@ -436,8 +436,6 @@ struct NodeState {
     processed: u64,
     /// Reusable output buffer for `Process::handle`.
     scratch: Vec<Msg>,
-    /// Reusable buffer for what one recovery frame makes deliverable.
-    delivered: Vec<Stamped>,
     /// The node hit a fatal condition (crash with recovery disabled,
     /// retransmission budget exhausted); its traffic is discarded from
     /// here on (the `Fatal` frame it sent aborts the run).
@@ -456,15 +454,14 @@ impl NodeState {
         match frame {
             TMsg::Plain(msg, stamp) => self.process_msg(msg, stamp, mb),
             TMsg::Wire(frame) => {
-                let mut delivered = std::mem::take(&mut self.delivered);
+                let mut delivered = Vec::new();
                 self.t.on_frame(frame, &mut delivered);
-                for (msg, stamp) in delivered.drain(..) {
+                for (msg, stamp) in delivered {
                     if self.fatal {
                         break;
                     }
                     self.process_msg(msg, stamp, mb);
                 }
-                self.delivered = delivered;
             }
             // Fatal frames are addressed to the engine only.
             TMsg::Fatal(_) => {}
@@ -756,7 +753,6 @@ impl ThreadRuntime {
                         process,
                         processed: 0,
                         scratch: Vec::new(),
-                        delivered: Vec::new(),
                         fatal: false,
                     })
                 })

@@ -204,12 +204,11 @@ impl Driver {
         if !self.owed.is_empty() {
             self.ack_now(to, wire);
         }
-        let link = self.outgoing.entry(to).or_insert_with(|| SenderLink {
-            window: match (self.me, to) {
+        let link = self.outgoing.entry(to).or_insert_with(|| {
+            SenderLink::with_window(match (self.me, to) {
                 (Endpoint::Node(a), Endpoint::Node(b)) if self.cfg.intra.contains(&(a, b)) => None,
                 _ => self.cfg.window,
-            },
-            ..SenderLink::default()
+            })
         });
         let item = (msg, stamp);
         let seq = link.send(item.clone(), now);
@@ -306,16 +305,27 @@ impl Driver {
     /// of every simulator round and of every pool activation.
     pub fn flush_acks(&mut self, wire: &mut impl Wire) {
         for i in 0..self.owed.len() {
-            self.ack_now(self.owed[i], wire);
+            self.pay_ack(self.owed[i], wire);
         }
         self.owed.clear();
     }
 
-    /// Send the ack owed on the link from `to`, if one is.
+    /// Send the ack owed on the link from `to` now, if one is, and take
+    /// the link off `owed` so [`Driver::owes_acks`] stays exact.
     fn ack_now(&mut self, to: Endpoint, wire: &mut impl Wire) {
-        let Some(link) = self.incoming.get_mut(&to).filter(|l| l.ack_owed) else {
-            return;
-        };
+        if let Some(i) = self.owed.iter().position(|&p| p == to) {
+            self.owed.remove(i);
+            self.pay_ack(to, wire);
+        }
+    }
+
+    /// Send the cumulative ack owed on the link from `to`.
+    fn pay_ack(&mut self, to: Endpoint, wire: &mut impl Wire) {
+        let link = self
+            .incoming
+            .get_mut(&to)
+            .expect("an owed link has received data");
+        debug_assert!(link.ack_owed, "owed lists each owed link once");
         link.ack_owed = false;
         let upto = link.next_expected;
         self.send_ack(to, upto, wire);
@@ -353,9 +363,8 @@ impl Driver {
         // Freed credits admit stalled frames, in order.
         for seq in link.release() {
             let item = self.outgoing[&peer].get(seq).cloned();
-            if let Some(item) = item {
-                self.transmit(peer, seq, item, 0, wire);
-            }
+            let item = item.expect("a released seq is buffered");
+            self.transmit(peer, seq, item, 0, wire);
         }
     }
 
@@ -375,7 +384,7 @@ impl Driver {
             .iter()
             .filter(|(_, s)| {
                 if force {
-                    !s.unacked.is_empty()
+                    !s.is_empty()
                 } else {
                     s.due(now, after)
                 }
@@ -404,11 +413,10 @@ impl Driver {
             let _ = link.release();
             for seq in link.on_wire() {
                 let item = self.outgoing[&to].get(seq).cloned();
-                if let Some(item) = item {
-                    self.stats.retransmits += 1;
-                    self.transmit(to, seq, item, retries, wire);
-                    any = true;
-                }
+                let item = item.expect("a seq on the wire is buffered");
+                self.stats.retransmits += 1;
+                self.transmit(to, seq, item, retries, wire);
+                any = true;
             }
         }
         Ok(any)
