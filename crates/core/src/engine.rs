@@ -119,8 +119,6 @@ pub struct QueryResult {
     pub stats: Stats,
     /// Rule/goal graph size (nodes) — Thm 2.1's observable.
     pub graph_nodes: usize,
-    /// Full message trace, when tracing was enabled on the simulator.
-    pub trace: Option<Vec<crate::msg::Msg>>,
     /// Clock-stamped event trace, when tracing was enabled (either
     /// runtime): the input to `mp_trace::check` offline verification and
     /// to [`Engine::replay`].
@@ -265,10 +263,8 @@ impl Engine {
         self
     }
 
-    /// Record execution traces. On the simulator this captures both the
-    /// full message log ([`QueryResult::trace`]) and the clock-stamped
-    /// event trace ([`QueryResult::events`]); on the threaded runtime it
-    /// captures the event trace. Off by default — the untraced path
+    /// Record the clock-stamped event trace ([`QueryResult::events`]) on
+    /// either runtime. Off by default — the untraced path
     /// skips every recording branch.
     pub fn with_trace(mut self, trace: bool) -> Engine {
         self.trace = trace;
@@ -520,7 +516,6 @@ impl Engine {
             answers: out.answers,
             stats,
             graph_nodes: graph.len(),
-            trace: out.trace,
             events: out.events,
             engine_ends: out.engine_ends,
             post_end_answers: out.post_end_answers,
@@ -1063,11 +1058,22 @@ mod tests {
     #[test]
     fn trace_records_messages() {
         let out = tc_engine(&[(0, 1)], 0).with_trace(true).evaluate().unwrap();
-        let trace = out.trace.unwrap();
-        assert!(!trace.is_empty());
-        assert!(trace
-            .iter()
-            .any(|m| matches!(m.payload, crate::msg::Payload::Answers(_))));
+        let events = out.events.unwrap();
+        assert!(events.events.iter().any(|e| matches!(
+            e.kind,
+            mp_trace::EventKind::Send {
+                kind: mp_trace::MsgKind::Answer,
+                ..
+            }
+        )));
+        assert!(events.events.iter().any(|e| matches!(
+            &e.kind,
+            mp_trace::EventKind::Send {
+                kind: mp_trace::MsgKind::TupleRequest,
+                bindings,
+                ..
+            } if !bindings.is_empty()
+        )));
     }
 
     #[test]

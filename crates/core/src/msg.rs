@@ -2,7 +2,6 @@
 
 use mp_rulegoal::NodeId;
 use mp_storage::Tuple;
-use std::fmt;
 
 /// A message endpoint: a graph node or the engine itself (the top-level
 /// goal node's customer).
@@ -20,15 +19,6 @@ impl Endpoint {
         match self {
             Endpoint::Node(n) => Some(n),
             Endpoint::Engine => None,
-        }
-    }
-}
-
-impl fmt::Display for Endpoint {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Endpoint::Node(n) => write!(f, "#{n}"),
-            Endpoint::Engine => write!(f, "engine"),
         }
     }
 }
@@ -246,12 +236,6 @@ pub struct Msg {
     pub payload: Payload,
 }
 
-impl fmt::Display for Msg {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} -> {}: {:?}", self.from, self.to, self.payload)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -271,17 +255,6 @@ mod tests {
     fn endpoint_helpers() {
         assert_eq!(Endpoint::Node(3).node(), Some(3));
         assert_eq!(Endpoint::Engine.node(), None);
-        assert_eq!(format!("{}", Endpoint::Node(3)), "#3");
-    }
-
-    #[test]
-    fn display_is_readable() {
-        let m = Msg {
-            from: Endpoint::Node(1),
-            to: Endpoint::Node(2),
-            payload: Payload::TupleRequests(Pack::One(tuple![5])),
-        };
-        assert_eq!(format!("{m}"), "#1 -> #2: TupleRequests(One((5)))");
     }
 
     /// Every mailbox slot, unacked-window entry and durable-log entry

@@ -43,14 +43,20 @@ pub(crate) fn tracer_for(
 }
 
 /// Record a logical send on the sender's tracer (plus the batch flush it
-/// implies when the frame packages several logical items); returns the
-/// stamp that travels with the message to its delivery site.
+/// implies when the frame packages several logical items), with its
+/// bindings when it carries them; returns the stamp that travels with
+/// the message to its delivery site.
 pub(crate) fn trace_send(tracer: &mut Tracer, msg: &Msg, n_nodes: usize) -> Stamp {
     let (kind, items, wave, epoch) = describe_payload(&msg.payload);
     if items > 1 {
         tracer.on_flush(items);
     }
-    tracer.on_send(trace_actor(msg.to, n_nodes), kind, items, wave, epoch)
+    let bindings = match &msg.payload {
+        Payload::TupleRequests(p) | Payload::EndTupleRequests(p) => p.to_vec(),
+        _ => Vec::new(),
+    };
+    let to = trace_actor(msg.to, n_nodes);
+    tracer.on_send(to, kind, items, wave, epoch, bindings)
 }
 
 /// Record a logical delivery on the receiver's tracer, pairing it with
@@ -410,7 +416,9 @@ mod tests {
     use mp_storage::tuple;
     use std::time::Duration;
 
-    fn cyclic_tc() -> Network {
+    /// `path(0, Z)` over the cycle 0 → 1 → 2 → 0: one nontrivial strong
+    /// component.
+    pub(super) fn cyclic_tc() -> Network {
         let program = parse_program(
             "path(X, Y) :- edge(X, Y).
              path(X, Z) :- path(X, Y), edge(Y, Z).

@@ -38,59 +38,12 @@ use crate::runtime::{
 };
 use crate::stats::Stats;
 use mp_storage::{Relation, Tuple};
-use mp_trace::{Event, Ring, Stamp, Trace, Tracer};
+use mp_trace::{Ring, Trace, Tracer};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Event recording for a clean simulated run: one [`Tracer`] per node
-/// plus the engine, and per-link stamp queues standing in for the wire.
-/// Mailbox delivery is exactly-once FIFO per link, so a front-pop always
-/// pairs a delivery with its send stamp.
-pub(crate) struct SimTracing {
-    n: usize,
-    tracers: Vec<Tracer>,
-    pending: BTreeMap<(Endpoint, Endpoint), VecDeque<Stamp>>,
-    ring: Arc<Ring<Event>>,
-}
-
-impl SimTracing {
-    pub(crate) fn new(n: usize) -> Self {
-        let ring = Arc::new(Ring::with_capacity(TRACE_RING_CAPACITY));
-        SimTracing {
-            n,
-            tracers: (0..=n)
-                .filter_map(|i| tracer_for(Some(&ring), i, n))
-                .collect(),
-            pending: BTreeMap::new(),
-            ring,
-        }
-    }
-
-    fn on_send(&mut self, msg: &Msg) {
-        let actor = trace_actor(msg.from, self.n) as usize;
-        let stamp = trace_send(&mut self.tracers[actor], msg, self.n);
-        self.pending
-            .entry((msg.from, msg.to))
-            .or_default()
-            .push_back(stamp);
-    }
-
-    fn on_deliver(&mut self, msg: &Msg) {
-        let stamp = self
-            .pending
-            .get_mut(&(msg.from, msg.to))
-            .and_then(|q| q.pop_front());
-        let actor = trace_actor(msg.to, self.n) as usize;
-        trace_deliver(&mut self.tracers[actor], msg, stamp.as_ref(), self.n);
-    }
-
-    fn finish(self) -> Trace {
-        mp_trace::collect((self.n + 1) as u32, &self.ring)
-    }
-}
 
 /// Message scheduling policy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -108,9 +61,7 @@ pub struct SimOutcome {
     pub answers: Relation,
     /// Instrumentation counters.
     pub stats: Stats,
-    /// Full message trace, if requested.
-    pub trace: Option<Vec<Msg>>,
-    /// Clock-stamped event trace, if requested (same flag): the input to
+    /// Clock-stamped event trace, if requested: the input to
     /// `mp_trace::check` and to deterministic replay.
     pub events: Option<Trace>,
     /// `End` messages delivered to the engine (Thm 3.1 observable:
@@ -129,7 +80,7 @@ pub struct SimRuntime {
     /// Step budget (messages processed) before declaring divergence.
     /// The guard enforced is the smaller of this and `budget.max_steps`.
     pub max_steps: u64,
-    /// Record every routed message.
+    /// Record the clock-stamped event trace ([`SimOutcome::events`]).
     pub trace: bool,
     /// Fault-injection plan; `None` runs the pristine 1986 model with
     /// zero transport overhead.
@@ -160,9 +111,9 @@ impl Default for SimRuntime {
 }
 
 /// Per-node FIFO mailboxes plus the schedule that picks which one is
-/// served next.
-struct Mailboxes<T> {
-    queues: Vec<VecDeque<T>>,
+/// served next. Each message waits with its send stamp.
+struct Mailboxes {
+    queues: Vec<VecDeque<Stamped>>,
     /// Global send order: one token per enqueued message (FIFO schedule).
     fifo_tokens: VecDeque<usize>,
     /// Seeded-random schedule; `None` = FIFO.
@@ -171,7 +122,7 @@ struct Mailboxes<T> {
     high_water: u64,
 }
 
-impl<T> Mailboxes<T> {
+impl Mailboxes {
     fn new(n: usize, schedule: Schedule) -> Self {
         Mailboxes {
             queues: (0..n).map(|_| VecDeque::new()).collect(),
@@ -184,7 +135,7 @@ impl<T> Mailboxes<T> {
         }
     }
 
-    fn push(&mut self, id: usize, item: T) {
+    fn push(&mut self, id: usize, item: Stamped) {
         self.queues[id].push_back(item);
         self.high_water = self.high_water.max(self.queues[id].len() as u64);
         self.fifo_tokens.push_back(id);
@@ -213,12 +164,11 @@ impl<T> Mailboxes<T> {
         }
     }
 
-    /// Accounting rows for an aborted run; `msg` projects a queued item
-    /// to its logical message.
-    fn usage(&self, network: &Network, processed: &[u64], msg: fn(&T) -> &Msg) -> Vec<NodeUsage> {
+    /// Accounting rows for an aborted run.
+    fn usage(&self, network: &Network, processed: &[u64]) -> Vec<NodeUsage> {
         node_usage(&network.shard_of, self.queues.len(), |i| {
             let q = &self.queues[i];
-            let bytes = q.iter().map(|t| msg(t).payload.approx_bytes()).sum();
+            let bytes = q.iter().map(|(m, _)| m.payload.approx_bytes()).sum();
             (processed[i], q.len(), bytes)
         })
     }
@@ -237,11 +187,11 @@ impl StepGuard {
     /// the wall clock and the interner arena are sampled every 1024
     /// steps only — a syscall and an interner read at that rate keep the
     /// unlimited-budget clean path within noise of an ungoverned loop.
-    fn step<T>(
+    fn step(
         &mut self,
         governor: &Governor,
         sink: &EngineSink,
-        mailboxes: &Mailboxes<T>,
+        mailboxes: &Mailboxes,
     ) -> Result<(), RuntimeError> {
         self.steps += 1;
         if self.steps > self.max_steps {
@@ -387,7 +337,6 @@ impl SimRuntime {
         mut stats: Stats,
         sink: EngineSink,
         usage: impl FnOnce() -> Vec<NodeUsage>,
-        trace: Option<Vec<Msg>>,
         events: Option<Trace>,
     ) -> Result<SimOutcome, RuntimeError> {
         governor.sample_arena();
@@ -407,7 +356,6 @@ impl SimRuntime {
         Ok(SimOutcome {
             answers: sink.answers,
             stats,
-            trace,
             events,
             engine_ends: sink.ends,
             post_end_answers: sink.post_end_answers,
@@ -424,11 +372,13 @@ impl SimRuntime {
         replay: Option<&[u32]>,
     ) -> Result<SimOutcome, RuntimeError> {
         let n = network.processes.len();
+        let ring = self
+            .trace
+            .then(|| Arc::new(Ring::with_capacity(TRACE_RING_CAPACITY)));
         let mut sim = CleanSim {
             mailboxes: Mailboxes::new(n, self.schedule),
             stats: Stats::default(),
-            trace: self.trace.then(Vec::new),
-            tracing: self.trace.then(|| SimTracing::new(n)),
+            tracers: (0..=n).map(|i| tracer_for(ring.as_ref(), i, n)).collect(),
             sink: EngineSink::new(network.answer_arity),
             governor: Governor::new(self.budget.clone(), self.cancel.clone()),
         };
@@ -467,13 +417,13 @@ impl SimRuntime {
             let Some(id) = next.or_else(|| sim.mailboxes.pick()) else {
                 break;
             };
-            let Some(msg) = sim.mailboxes.queues[id].pop_front() else {
+            let Some((msg, stamp)) = sim.mailboxes.queues[id].pop_front() else {
                 continue;
             };
             sim.governor.note_dequeue(msg.payload.approx_bytes());
             guard.step(&sim.governor, &sim.sink, &sim.mailboxes)?;
-            if let Some(tr) = sim.tracing.as_mut() {
-                tr.on_deliver(&msg);
+            if let Some(tr) = sim.tracers[id].as_mut() {
+                trace_deliver(tr, &msg, stamp.as_deref(), n);
             }
             let mut ctx = Ctx {
                 out: &mut out,
@@ -482,7 +432,7 @@ impl SimRuntime {
                 // Flow control lives on the recovery transport; the
                 // pristine path has no stalled frames.
                 pressure: false,
-                tracer: sim.tracing.as_mut().map(|t| &mut t.tracers[id]),
+                tracer: sim.tracers[id].as_mut(),
             };
             network.processes[id].handle(msg, &mut ctx);
             processed[id] += 1;
@@ -498,9 +448,8 @@ impl SimRuntime {
             trip,
             sim.stats,
             sim.sink,
-            || mailboxes.usage(network, &processed, |m| m),
-            sim.trace,
-            sim.tracing.map(SimTracing::finish),
+            || mailboxes.usage(network, &processed),
+            ring.map(|r| mp_trace::collect((n + 1) as u32, &r)),
         )
     }
 
@@ -523,10 +472,10 @@ impl SimRuntime {
             n_nodes: n,
             governor: Arc::clone(&governor),
         });
-        // Event recording (same flag as `trace`) sees *logical* sends and
-        // deliveries only — retransmissions and wire duplicates below the
-        // exactly-once line are invisible to it, which is what makes the
-        // batching-invariance and FIFO invariants checkable.
+        // Event recording sees *logical* sends and deliveries only —
+        // retransmissions and wire duplicates below the exactly-once line
+        // are invisible to it, which is what makes the batching-invariance
+        // and FIFO invariants checkable.
         let ring = self
             .trace
             .then(|| Arc::new(Ring::with_capacity(TRACE_RING_CAPACITY)));
@@ -543,7 +492,6 @@ impl SimRuntime {
                 .collect(),
             wire: SimWire::default(),
             mailboxes: Mailboxes::new(n, self.schedule),
-            trace: self.trace.then(Vec::new),
             sink: EngineSink::new(network.answer_arity),
             delivered: Vec::new(),
             owing: Vec::new(),
@@ -629,8 +577,7 @@ impl SimRuntime {
             trip,
             stats,
             sim.sink,
-            || mailboxes.usage(network, &processed, |(m, _)| m),
-            sim.trace,
+            || mailboxes.usage(network, &processed),
             ring.map(|r| mp_trace::collect((n + 1) as u32, &r)),
         )
     }
@@ -638,39 +585,38 @@ impl SimRuntime {
 
 /// All state of one clean simulation run.
 struct CleanSim {
-    mailboxes: Mailboxes<Msg>,
+    mailboxes: Mailboxes,
     stats: Stats,
-    trace: Option<Vec<Msg>>,
-    tracing: Option<SimTracing>,
+    /// One event recorder per node, then the engine's at index `n`;
+    /// all `None` when tracing is off.
+    tracers: Vec<Option<Tracer>>,
     sink: EngineSink,
     governor: Governor,
 }
 
 impl CleanSim {
-    /// Send one message: straight into the recipient's mailbox, or into
-    /// the engine's sink.
+    /// Send one message: straight into the recipient's mailbox with its
+    /// send stamp, or into the engine's sink.
     fn route(&mut self, msg: Msg) -> Result<(), RuntimeError> {
         self.stats.count_send(&msg.payload);
         self.governor
             .note_messages(describe_payload(&msg.payload).1);
-        if let Some(t) = self.trace.as_mut() {
-            t.push(msg.clone());
-        }
-        if let Some(tr) = self.tracing.as_mut() {
-            tr.on_send(&msg);
-            // Engine-bound messages are consumed right here, so the
-            // delivery is recorded here too.
-            if msg.to == Endpoint::Engine {
-                tr.on_deliver(&msg);
-            }
-        }
+        let n = self.tracers.len() - 1;
+        let stamp = self.tracers[trace_actor(msg.from, n) as usize]
+            .as_mut()
+            .map(|tr| Box::new(trace_send(tr, &msg, n)));
         match msg.to {
             Endpoint::Engine => {
+                // Engine-bound messages are consumed right here, so the
+                // delivery is recorded here too.
+                if let Some(tr) = self.tracers[n].as_mut() {
+                    trace_deliver(tr, &msg, stamp.as_deref(), n);
+                }
                 self.sink.accept(msg)?;
             }
             Endpoint::Node(id) => {
                 self.governor.note_enqueue(msg.payload.approx_bytes());
-                self.mailboxes.push(id, msg);
+                self.mailboxes.push(id, (msg, stamp));
             }
         }
         Ok(())
@@ -683,8 +629,7 @@ struct FaultySim {
     drivers: Vec<Driver>,
     wire: SimWire,
     /// Delivered (in order, exactly once) but not yet processed.
-    mailboxes: Mailboxes<Stamped>,
-    trace: Option<Vec<Msg>>,
+    mailboxes: Mailboxes,
     sink: EngineSink,
     /// What one frame made deliverable; reused across frames and rounds.
     delivered: Vec<Stamped>,
@@ -695,9 +640,6 @@ struct FaultySim {
 impl FaultySim {
     /// A logical send through the sender's driver.
     fn send(&mut self, msg: Msg) {
-        if let Some(t) = self.trace.as_mut() {
-            t.push(msg.clone());
-        }
         let from = msg.from.node().unwrap_or(self.drivers.len() - 1);
         self.drivers[from].send(msg, self.wire.now, &mut self.wire);
     }

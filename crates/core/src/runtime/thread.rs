@@ -111,6 +111,14 @@ struct Mailbox {
     scheduled: AtomicBool,
 }
 
+/// No logical message waits in `q`: it holds ack-only frames at most.
+/// An ack queued behind a probe must not count as work in Fig 2's
+/// `empty_queues()`, or it resets the node's idleness and costs the
+/// component a wave. The scan stops at the first other frame.
+fn no_logical(q: &VecDeque<TMsg>) -> bool {
+    q.iter().all(|f| matches!(f, TMsg::Wire(Frame::Ack { .. })))
+}
+
 /// Everything under the scheduler lock: the per-worker deques, the
 /// injector the engine feeds, the idle-worker count for targeted
 /// wakeups, and the behavior counters.
@@ -452,15 +460,17 @@ impl NodeState {
     /// Handle one mailbox frame.
     fn handle_frame(&mut self, frame: TMsg, mb: &Mailbox) {
         match frame {
-            TMsg::Plain(msg, stamp) => self.process_msg(msg, stamp, mb),
+            TMsg::Plain(msg, stamp) => self.process_msg(msg, stamp, false, mb),
             TMsg::Wire(frame) => {
                 let mut delivered = Vec::new();
                 self.t.on_frame(frame, &mut delivered);
+                let mut left = delivered.len();
                 for (msg, stamp) in delivered {
                     if self.fatal {
                         break;
                     }
-                    self.process_msg(msg, stamp, mb);
+                    left -= 1;
+                    self.process_msg(msg, stamp, left > 0, mb);
                 }
             }
             // Fatal frames are addressed to the engine only.
@@ -474,7 +484,7 @@ impl NodeState {
     /// protocol state, which crash recovery deliberately rebuilds from
     /// fresh waves rather than replay.
     fn poke(&mut self, mb: &Mailbox) {
-        let mailbox_empty = mb.q.lock().unwrap().is_empty();
+        let mailbox_empty = no_logical(&mb.q.lock().unwrap());
         let pressure = self.t.d.under_pressure();
         if mailbox_empty || pressure {
             self.t.d.note_flush();
@@ -493,9 +503,10 @@ impl NodeState {
     }
 
     /// Handle one delivered logical message, then take the crash the
-    /// fault plan may have scheduled right after it.
-    fn process_msg(&mut self, msg: Msg, stamp: Option<Box<Stamp>>, mb: &Mailbox) {
-        let mailbox_empty = mb.q.lock().unwrap().is_empty();
+    /// fault plan may have scheduled right after it. `more` says that the
+    /// frame which delivered it released further messages, still to come.
+    fn process_msg(&mut self, msg: Msg, stamp: Option<Box<Stamp>>, more: bool, mb: &Mailbox) {
+        let mailbox_empty = !more && no_logical(&mb.q.lock().unwrap());
         let pressure = self.t.d.under_pressure();
         if self.t.fault_mode {
             self.t.d.log(&msg, mailbox_empty || pressure);
@@ -947,14 +958,119 @@ impl ThreadRuntime {
             }
         }
         let events = ring.map(|r| mp_trace::collect((n + 1) as u32, &r));
-        // The pool keeps no message log, so `trace` is always `None`.
         result.map(|()| SimOutcome {
             answers: sink.answers,
             stats,
-            trace: None,
             events,
             engine_ends: sink.ends,
             post_end_answers: sink.post_end_answers,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::msg::Payload;
+    use crate::runtime::tests::cyclic_tc;
+
+    /// A BFST leaf of the cyclic component, as a pool node over a
+    /// zero-rate transport: its state, the fabric, its id and its BFST
+    /// parent.
+    fn probed_leaf() -> (NodeState, Arc<PoolNet>, usize, usize) {
+        let network = cyclic_tc();
+        let n = network.processes.len();
+        let (id, parent) = (network.processes.iter().enumerate())
+            .find_map(|(id, p)| {
+                let t = p.common.term.as_ref()?;
+                (!t.leader && t.bfst_children.is_empty()).then(|| (id, t.bfst_parent.unwrap()))
+            })
+            .expect("the cycle has a non-leader leaf");
+        let governor = Arc::new(Governor::new(QueryBudget::default(), CancelToken::new()));
+        let cfg = Arc::new(Config {
+            plan: FaultPlan::default(),
+            recovery: true,
+            window: None,
+            intra: network.intra_pairs(),
+            n_nodes: n,
+            governor: Arc::clone(&governor),
+        });
+        let net = Arc::new(PoolNet::new(n, 1, governor));
+        let process = network.processes[id].clone();
+        let state = NodeState {
+            t: Port {
+                d: Driver::new(Endpoint::Node(id), cfg, None, Some(process.clone())),
+                wire: PoolWire {
+                    net: Arc::clone(&net),
+                    engine_tx: channel().0,
+                    hint: None,
+                    delayed: Vec::new(),
+                },
+                fault_mode: true,
+                start: Instant::now(),
+            },
+            process,
+            processed: 0,
+            scratch: Vec::new(),
+            fatal: false,
+        };
+        (state, net, id, parent)
+    }
+
+    fn probe(parent: usize, id: usize, seq: u64, wave: u64) -> TMsg {
+        TMsg::Wire(Frame::Data {
+            seq,
+            msg: Msg {
+                from: Endpoint::Node(parent),
+                to: Endpoint::Node(id),
+                payload: Payload::EndRequest { wave, epoch: 0 },
+            },
+            corrupted: false,
+            stamp: None,
+        })
+    }
+
+    /// Handle every queued frame, as an activation does.
+    fn drain(st: &mut NodeState, net: &PoolNet, id: usize) {
+        let mb = &net.mailboxes[id];
+        loop {
+            let Some(frame) = mb.q.lock().unwrap().pop_front() else {
+                break;
+            };
+            st.handle_frame(frame, mb);
+        }
+    }
+
+    fn idleness(st: &NodeState) -> u32 {
+        st.process.common.term.as_ref().unwrap().idleness
+    }
+
+    /// An ack queued behind a probe is no logical message: the leaf
+    /// counts the probe as idle instead of restarting its count.
+    #[test]
+    fn an_ack_queued_behind_a_probe_leaves_the_mailbox_empty() {
+        let (mut st, net, id, parent) = probed_leaf();
+        let mut q = net.mailboxes[id].q.lock().unwrap();
+        q.push_back(probe(parent, id, 0, 1));
+        q.push_back(TMsg::Wire(Frame::Ack {
+            peer: Endpoint::Node(parent),
+            upto: 0,
+        }));
+        drop(q);
+        drain(&mut st, &net, id);
+        assert_eq!(idleness(&st), 1);
+    }
+
+    /// A frame that releases several reordered messages leaves the
+    /// mailbox non-empty until its last one.
+    #[test]
+    fn a_reordered_batch_is_not_empty_until_its_last_message() {
+        let (mut st, net, id, parent) = probed_leaf();
+        let mut q = net.mailboxes[id].q.lock().unwrap();
+        q.push_back(probe(parent, id, 1, 2)); // waits in the reorder buffer
+        q.push_back(probe(parent, id, 0, 1)); // releases both
+        drop(q);
+        drain(&mut st, &net, id);
+        assert_eq!(idleness(&st), 1, "the first probe saw the second pending");
     }
 }

@@ -113,8 +113,10 @@ pub(crate) struct Driver {
     /// Initial-state clone of the node's process, for crash recovery
     /// (`None` at the engine and on the clean path).
     pristine: Option<Process>,
-    /// Durable log of every message the process handled, in order.
-    log: Vec<Msg>,
+    /// Durable log of every message the process handled, in order. A
+    /// probe-wave message is logged as `None`: [`recover`] replays only
+    /// the flush at the end of its turn.
+    log: Vec<Option<Msg>>,
     /// One bit per log entry, packed: the entry's turn (its `handle`, or
     /// an idle poke before the next entry) saw `mailbox_empty ||
     /// pressure`, so every batch buffer was flushed by its end.
@@ -173,7 +175,18 @@ impl Driver {
         if self.log.len().is_multiple_of(64) {
             self.flushed.push(0);
         }
-        self.log.push(msg.clone());
+        // Wave probes and replies are deliberately not replayed: protocol
+        // state resets at restart and is rebuilt by fresh epoch-tagged
+        // waves. `SccFinished` IS replayed — it is durable component
+        // state (finished, feeders released), not wave state.
+        let wave = matches!(
+            msg.payload,
+            Payload::EndRequest { .. }
+                | Payload::EndNegative { .. }
+                | Payload::EndConfirmed { .. }
+                | Payload::Reborn { .. }
+        );
+        self.log.push((!wave).then(|| msg.clone()));
         if flushed {
             self.note_flush();
         }
@@ -477,7 +490,7 @@ impl Driver {
 /// [`Driver::log`]): a turn that flushed the batch buffers flushes them
 /// in the replay too, so the reborn process holds only what had not been
 /// shipped. Returns the process and the messages replayed.
-pub(crate) fn recover(pristine: &Process, log: &[Msg], flushed: &[u64]) -> (Process, u64) {
+pub(crate) fn recover(pristine: &Process, log: &[Option<Msg>], flushed: &[u64]) -> (Process, u64) {
     let mut fresh = pristine.clone();
     let mut scratch = Stats::default();
     let mut discard: Vec<Msg> = Vec::new();
@@ -496,24 +509,13 @@ pub(crate) fn recover(pristine: &Process, log: &[Msg], flushed: &[u64]) -> (Proc
             // recording them again would double-count.
             tracer: None,
         };
-        // Wave probes and replies are deliberately not replayed: protocol
-        // state resets at restart and is rebuilt by fresh epoch-tagged
-        // waves; only the flush at the end of their turn is. `SccFinished`
-        // IS replayed — it is durable component state (finished, feeders
-        // released), not wave state.
-        if matches!(
-            m.payload,
-            Payload::EndRequest { .. }
-                | Payload::EndNegative { .. }
-                | Payload::EndConfirmed { .. }
-                | Payload::Reborn { .. }
-        ) {
-            if ctx.pressure {
-                fresh.poke(&mut ctx);
+        match m {
+            Some(m) => {
+                fresh.handle(m.clone(), &mut ctx);
+                replayed += 1;
             }
-        } else {
-            fresh.handle(m.clone(), &mut ctx);
-            replayed += 1;
+            None if ctx.pressure => fresh.poke(&mut ctx),
+            None => {}
         }
         discard.clear();
     }
@@ -866,6 +868,37 @@ mod tests {
         let delivered = arrive(&mut b, again.next().unwrap(), &mut wire);
         let stamps: Vec<_> = delivered.into_iter().map(|(_, s)| s.unwrap()).collect();
         assert_eq!(stamps, sent);
+    }
+
+    /// Only the flush at the end of a probe's turn is replayed, so the
+    /// log keeps no copy of the probe.
+    #[test]
+    fn a_logged_probe_holds_no_message_and_its_flush_still_replays() {
+        let mut network = crate::runtime::tests::cyclic_tc();
+        network.set_batch_max(4);
+        let root = network.root;
+        let pristine = network.processes[root].clone();
+        let (a, _) = pair(None, 64, false);
+        let mut d = Driver::new(Endpoint::Node(root), a.cfg, None, Some(pristine.clone()));
+        let mut query = query_messages(root, [Tuple::unit()]).into_iter();
+        for m in query.by_ref().take(2) {
+            d.log(&m, false); // relation request, tuple request
+        }
+        let probe = Msg {
+            from: A,
+            to: Endpoint::Node(root),
+            payload: Payload::EndRequest { wave: 1, epoch: 0 },
+        };
+        d.log(&probe, true);
+        assert!(d.log[..2].iter().all(Option::is_some));
+        assert_eq!(d.log[2], None, "a logged probe holds no message");
+
+        let buffered = |p: &Process| p.common.batch_buf.iter().any(|b| !b.is_empty());
+        let (unflushed, _) = recover(&pristine, &d.log[..2], &d.flushed);
+        assert!(buffered(&unflushed), "the request waits in a batch buffer");
+        let (fresh, replayed) = recover(&pristine, &d.log, &d.flushed);
+        assert_eq!(replayed, 2);
+        assert!(!buffered(&fresh), "the probe's turn flushed it");
     }
 
     #[test]

@@ -182,6 +182,20 @@ pub enum Code {
     /// wave epoch (resource governance: cancelled nodes drain the
     /// protocol but must never produce more answers).
     TraceAnswerAfterCancel,
+    /// A tuple request was sent on an arc before its relation request
+    /// opened the stream (§3.1).
+    TraceRequestBeforeOpen,
+    /// A tuple request was sent on an arc after its end-of-requests.
+    TraceRequestAfterEndOfRequests,
+    /// An answer or a per-binding end was sent on an arc after its
+    /// stream's `End`.
+    TraceSendAfterStreamEnd,
+    /// A per-binding end answered no request on the reverse arc, or
+    /// ended the same binding twice.
+    TraceBadBindingEnd,
+    /// A stream's `End` was sent while a binding requested on it was
+    /// still un-ended (§3.2's per-binding bookkeeping is incomplete).
+    TraceOpenBindingAtEnd,
 
     /// Two occurrences of a join variable range over type-disjoint value
     /// sorts (one side only integers, the other only symbols): the join
@@ -244,6 +258,11 @@ impl Code {
             Code::TraceDuplicateDelivery => "MP308",
             Code::TraceCountMismatch => "MP309",
             Code::TraceAnswerAfterCancel => "MP310",
+            Code::TraceRequestBeforeOpen => "MP311",
+            Code::TraceRequestAfterEndOfRequests => "MP312",
+            Code::TraceSendAfterStreamEnd => "MP313",
+            Code::TraceBadBindingEnd => "MP314",
+            Code::TraceOpenBindingAtEnd => "MP315",
             Code::TypeClashJoin => "MP401",
             Code::EmptySubgoal => "MP402",
             Code::DeadRule => "MP403",
@@ -485,6 +504,11 @@ mod tests {
             Code::TraceDuplicateDelivery,
             Code::TraceCountMismatch,
             Code::TraceAnswerAfterCancel,
+            Code::TraceRequestBeforeOpen,
+            Code::TraceRequestAfterEndOfRequests,
+            Code::TraceSendAfterStreamEnd,
+            Code::TraceBadBindingEnd,
+            Code::TraceOpenBindingAtEnd,
             Code::TypeClashJoin,
             Code::EmptySubgoal,
             Code::DeadRule,

@@ -90,6 +90,12 @@ fn main() -> ExitCode {
                 return ExitCode::from(2);
             }
         };
+        if !trace.with_bindings {
+            eprintln!(
+                "mp-check: {name}: mptrace v1 records no bindings; \
+                 binding checks MP311–MP315 skipped"
+            );
+        }
         let diags = mp_trace::check(&trace);
         for d in &diags {
             if opts.json {

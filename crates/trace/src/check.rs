@@ -27,6 +27,17 @@
 //!   `Cancel` wave epoch it must not emit another `Answer` frame
 //!   (PR 8 resource governance: cancelled nodes drain, never produce).
 //!
+//! The §3.1 stream discipline, per arc, over the send events and their
+//! bindings (skipped on an `mptrace v1` trace, which has no bindings):
+//!
+//! * **MP311** the relation request precedes every tuple request;
+//! * **MP312** no tuple request follows end-of-requests;
+//! * **MP313** no answer or per-binding end follows the stream's `End`;
+//! * **MP314** each per-binding end answers a binding requested on the
+//!   reverse arc, and ends it once;
+//! * **MP315** when a stream ends, every binding requested on it has
+//!   been ended (§3.2's per-binding bookkeeping is complete).
+//!
 //! **Actor identity under sharding.** A trace actor is a *physical*
 //! process id. At `--shards K > 1` each request-keyed node contributes
 //! `K` actors — the `(node, shard)` instances of the engine's
@@ -39,6 +50,7 @@
 
 use crate::event::{EventKind, MsgKind, Trace, NO_SEQ};
 use mp_lint::{Code, Diagnostic};
+use mp_storage::Tuple;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Logical message counts reconstructed from a trace's `Send` events.
@@ -78,6 +90,84 @@ struct LinkState {
     sends: BTreeMap<u64, (usize, MsgKind, u64, u64, Vec<u64>)>,
     delivered: BTreeSet<u64>,
     max_delivered: Option<u64>,
+}
+
+/// The §3.1 state of one stream, keyed `(customer, feeder)`: requests
+/// travel customer → feeder, answers and ends feeder → customer.
+#[derive(Default)]
+struct StreamState {
+    opened: bool,
+    end_of_requests: bool,
+    ended: bool,
+    requested: BTreeSet<Tuple>,
+    binding_ends: BTreeSet<Tuple>,
+}
+
+/// MP311–MP315 for send event `i` of `kind` on the arc `from → to`.
+fn check_stream(
+    i: usize,
+    (from, to): (u32, u32),
+    kind: MsgKind,
+    bindings: &[Tuple],
+    streams: &mut BTreeMap<(u32, u32), StreamState>,
+    out: &mut Vec<Diagnostic>,
+) {
+    use MsgKind::*;
+    let down = matches!(kind, RelationRequest | TupleRequest | EndOfRequests);
+    let s = streams
+        .entry(if down { (from, to) } else { (to, from) })
+        .or_default();
+    let mut fire = |code, what: String| {
+        let note = match code {
+            Code::TraceRequestBeforeOpen => "§3.1: the relation request opens the stream",
+            Code::TraceRequestAfterEndOfRequests => "end-of-requests promises no more requests",
+            Code::TraceSendAfterStreamEnd => "End certifies that the stream is complete",
+            Code::TraceBadBindingEnd => "§3.2: a per-binding end answers one request, once",
+            _ => "§3.2: a stream ends after every binding requested on it",
+        };
+        let msg = format!("event {i}: {what} on arc {from} -> {to}");
+        out.push(diag(code, msg, note));
+    };
+    match kind {
+        RelationRequest => s.opened = true,
+        EndOfRequests => s.end_of_requests = true,
+        TupleRequest => {
+            if !s.opened {
+                fire(Code::TraceRequestBeforeOpen, "request before open".into());
+            }
+            if s.end_of_requests {
+                fire(
+                    Code::TraceRequestAfterEndOfRequests,
+                    "request after end".into(),
+                );
+            }
+            s.requested.extend(bindings.iter().cloned());
+        }
+        Answer | EndTupleRequest => {
+            if s.ended {
+                fire(Code::TraceSendAfterStreamEnd, format!("{kind} after End"));
+            }
+            for b in bindings {
+                if !s.requested.contains(b) {
+                    fire(Code::TraceBadBindingEnd, format!("end of unrequested {b}"));
+                } else if !s.binding_ends.insert(b.clone()) {
+                    fire(Code::TraceBadBindingEnd, format!("second end of {b}"));
+                }
+            }
+        }
+        End => {
+            s.ended = true;
+            let mut open = s.requested.difference(&s.binding_ends);
+            if let Some(b) = open.next() {
+                let n = 1 + open.count();
+                fire(
+                    Code::TraceOpenBindingAtEnd,
+                    format!("End with {n} open, {b} first,"),
+                );
+            }
+        }
+        _ => {}
+    }
 }
 
 #[derive(Default)]
@@ -124,6 +214,7 @@ pub fn check(trace: &Trace) -> Vec<Diagnostic> {
     let engine = trace.engine_actor();
     let mut actors: BTreeMap<u32, ActorState> = BTreeMap::new();
     let mut links: BTreeMap<(u32, u32), LinkState> = BTreeMap::new();
+    let mut streams: BTreeMap<(u32, u32), StreamState> = BTreeMap::new();
 
     for (i, e) in trace.events.iter().enumerate() {
         let a = actors.entry(e.actor).or_default();
@@ -167,7 +258,11 @@ pub fn check(trace: &Trace) -> Vec<Diagnostic> {
                 link_seq,
                 wave,
                 epoch,
+                bindings,
             } => {
+                if trace.with_bindings {
+                    check_stream(i, (e.actor, *to), *kind, bindings, &mut streams, &mut out);
+                }
                 let link = links.entry((e.actor, *to)).or_default();
                 let expected = link.sends.len() as u64;
                 if *link_seq != expected {
@@ -424,19 +519,19 @@ mod tests {
         let mut n1 = Tracer::new(1, 3, Arc::clone(&ring));
         let mut eng = Tracer::new(2, 3, Arc::clone(&ring));
 
-        let s = eng.on_send(0, MsgKind::RelationRequest, 1, 0, 0);
+        let s = eng.on_send(0, MsgKind::RelationRequest, 1, 0, 0, vec![]);
         n0.on_deliver(2, Some(&s), MsgKind::RelationRequest, 1, 0, 0);
         n0.on_store(0, 1);
         n0.on_store(0, 2);
-        let s = n0.on_send(1, MsgKind::Answer, 2, 0, 0);
+        let s = n0.on_send(1, MsgKind::Answer, 2, 0, 0, vec![]);
         n0.on_flush(2);
         n1.on_deliver(0, Some(&s), MsgKind::Answer, 2, 0, 0);
-        let s = n1.on_send(2, MsgKind::Answer, 1, 0, 0);
+        let s = n1.on_send(2, MsgKind::Answer, 1, 0, 0, vec![]);
         eng.on_deliver(1, Some(&s), MsgKind::Answer, 1, 0, 0);
-        let s = n0.on_send(1, MsgKind::EndRequest, 1, 1, 0);
+        let s = n0.on_send(1, MsgKind::EndRequest, 1, 1, 0, vec![]);
         n0.on_wave(1, 0);
         n1.on_deliver(0, Some(&s), MsgKind::EndRequest, 1, 1, 0);
-        let s = n1.on_send(2, MsgKind::End, 1, 0, 0);
+        let s = n1.on_send(2, MsgKind::End, 1, 0, 0, vec![]);
         eng.on_deliver(1, Some(&s), MsgKind::End, 1, 0, 0);
         eng.on_end();
         collect(3, &ring)
@@ -490,8 +585,8 @@ mod tests {
         let ring = Arc::new(Ring::with_capacity(64));
         let mut n0 = Tracer::new(0, 2, Arc::clone(&ring));
         let mut n1 = Tracer::new(1, 2, Arc::clone(&ring));
-        let s0 = n0.on_send(1, MsgKind::Answer, 1, 0, 0);
-        let _s1 = n0.on_send(1, MsgKind::Answer, 1, 0, 0); // in flight at shutdown
+        let s0 = n0.on_send(1, MsgKind::Answer, 1, 0, 0, vec![]);
+        let _s1 = n0.on_send(1, MsgKind::Answer, 1, 0, 0, vec![]); // in flight at shutdown
         n1.on_deliver(0, Some(&s0), MsgKind::Answer, 1, 0, 0);
         let t = collect(2, &ring);
         assert!(check(&t).is_empty());
@@ -503,6 +598,7 @@ mod tests {
         let t = Trace {
             n_actors: 2,
             dropped: 0,
+            with_bindings: true,
             events: vec![Event {
                 actor: 0,
                 lamport: 1,

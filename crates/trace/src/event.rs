@@ -1,10 +1,16 @@
-//! Trace events and the `mptrace v1` text format.
+//! Trace events and the `mptrace` text format.
 //!
 //! A trace is a global, append-ordered list of events. Each event is
 //! stamped with the recording actor's Lamport clock and vector clock at
 //! the moment it was recorded. Actors are the rule/goal-graph nodes
 //! (actor id = node id) plus the engine (actor id = `n_actors - 1`).
+//!
+//! `mptrace v2` writes the bindings of each tuple-request and
+//! binding-end send after its fields, symbols quoted so that `"1"` and
+//! `1` stay apart. `mptrace v1` has no bindings; it still parses, into a
+//! trace whose [`Trace::with_bindings`] is false.
 
+use mp_storage::{Tuple, Value};
 use std::fmt;
 
 /// The logical kind of a protocol or data-plane message, mirrored from
@@ -46,6 +52,12 @@ impl MsgKind {
             MsgKind::Cancel => "cancel",
             MsgKind::Shutdown => "shutdown",
         }
+    }
+
+    /// True for the kinds whose items are bindings (§3.1 tuple requests
+    /// and per-binding ends): their send events carry them.
+    pub fn carries_bindings(self) -> bool {
+        matches!(self, MsgKind::TupleRequest | MsgKind::EndTupleRequest)
     }
 
     /// Parse a stable name back to the kind.
@@ -110,6 +122,9 @@ pub enum EventKind {
         wave: u64,
         /// Leader epoch for termination payloads / `Reborn`, else 0.
         epoch: u64,
+        /// The bindings, in send order, when [`MsgKind::carries_bindings`];
+        /// else empty.
+        bindings: Vec<Tuple>,
     },
     /// A logical message was delivered to this actor (post transport
     /// dedup/reorder: exactly-once, in order).
@@ -197,6 +212,10 @@ pub struct Trace {
     /// Events lost to ring-buffer overflow. A nonzero count means the
     /// invariant checker cannot run soundly.
     pub dropped: u64,
+    /// Send events carry their bindings: true for a recorded or
+    /// `mptrace v2` trace, false for an `mptrace v1` one, on which the
+    /// binding checks cannot run.
+    pub with_bindings: bool,
 }
 
 impl Trace {
@@ -217,10 +236,12 @@ impl Trace {
             .collect()
     }
 
-    /// Serialize to the line-based `mptrace v1` text format.
+    /// Serialize to the line-based `mptrace` text format: v2, or v1
+    /// for a trace without bindings.
     pub fn to_text(&self) -> String {
         let mut out = String::new();
-        out.push_str("mptrace v1\n");
+        let version = if self.with_bindings { 2 } else { 1 };
+        out.push_str(&format!("mptrace v{version}\n"));
         out.push_str(&format!("actors {}\n", self.n_actors));
         out.push_str(&format!("dropped {}\n", self.dropped));
         for e in &self.events {
@@ -234,10 +255,12 @@ impl Trace {
                     link_seq,
                     wave,
                     epoch,
+                    bindings,
                 } => {
                     out.push_str(&format!(
                         "send {to} {kind} {items} {link_seq} {wave} {epoch}"
                     ));
+                    out.extend(bindings.iter().map(|b| format!(" {}", binding_text(b))));
                 }
                 EventKind::Deliver {
                     from,
@@ -266,14 +289,20 @@ impl Trace {
         out
     }
 
-    /// Parse the `mptrace v1` text format.
+    /// Parse the `mptrace` text format, v2 or v1.
     pub fn from_text(text: &str) -> Result<Trace, String> {
         let mut lines = text.lines().enumerate();
         let header = lines.next().map(|(_, l)| l.trim()).unwrap_or("");
-        if header != "mptrace v1" {
-            return Err(format!("bad header `{header}` (expected `mptrace v1`)"));
+        let with_bindings = header == "mptrace v2";
+        if !with_bindings && header != "mptrace v1" {
+            return Err(format!(
+                "bad header `{header}` (expected `mptrace v2` or `v1`)"
+            ));
         }
-        let mut trace = Trace::default();
+        let mut trace = Trace {
+            with_bindings,
+            ..Trace::default()
+        };
         let mut saw_actors = false;
         for (idx, raw) in lines {
             let line = raw.trim();
@@ -318,6 +347,22 @@ impl Trace {
                     let wave = parse_num(w.next(), lineno, "wave")?;
                     let epoch = parse_num(w.next(), lineno, "epoch")?;
                     if verb == "send" {
+                        let bindings = (w.by_ref())
+                            .map(|t| {
+                                parse_binding(t).ok_or(format!("line {lineno}: bad binding `{t}`"))
+                            })
+                            .collect::<Result<Vec<Tuple>, String>>()?;
+                        let expected = if with_bindings && kind.carries_bindings() {
+                            items
+                        } else {
+                            0
+                        };
+                        if bindings.len() as u64 != expected {
+                            return Err(format!(
+                                "line {lineno}: {} bindings, expected {expected}",
+                                bindings.len()
+                            ));
+                        }
                         EventKind::Send {
                             to: peer,
                             kind,
@@ -325,6 +370,7 @@ impl Trace {
                             link_seq,
                             wave,
                             epoch,
+                            bindings,
                         }
                     } else {
                         EventKind::Deliver {
@@ -376,6 +422,54 @@ impl Trace {
     }
 }
 
+/// Write a binding as one whitespace-free token `(v,…)`: integers bare,
+/// symbols quoted, their bytes outside printable ASCII and `%",()`
+/// written `%XX`.
+fn binding_text(b: &Tuple) -> String {
+    let values: Vec<String> = (b.values().iter())
+        .map(|v| match v {
+            Value::Int(n) => n.to_string(),
+            Value::Str(s) => {
+                let keep = |c: u8| c.is_ascii_graphic() && !b"%\",()".contains(&c);
+                let body: String = (s.as_str().bytes())
+                    .map(|c| match keep(c) {
+                        true => char::from(c).to_string(),
+                        false => format!("%{c:02X}"),
+                    })
+                    .collect();
+                format!("\"{body}\"")
+            }
+        })
+        .collect();
+    format!("({})", values.join(","))
+}
+
+/// Parse one [`binding_text`] token.
+fn parse_binding(token: &str) -> Option<Tuple> {
+    let inner = token.strip_prefix('(')?.strip_suffix(')')?;
+    let value = |v: &str| match v.strip_prefix('"').and_then(|v| v.strip_suffix('"')) {
+        Some(body) => {
+            let mut bytes = Vec::new();
+            let mut it = body.bytes();
+            while let Some(c) = it.next() {
+                bytes.push(match c {
+                    b'%' => {
+                        u8::from_str_radix(std::str::from_utf8(&[it.next()?, it.next()?]).ok()?, 16)
+                            .ok()?
+                    }
+                    c => c,
+                });
+            }
+            Some(Value::str(String::from_utf8(bytes).ok()?))
+        }
+        None => v.parse().ok().map(Value::Int),
+    };
+    match inner {
+        "" => Some(Tuple::unit()),
+        _ => inner.split(',').map(value).collect(),
+    }
+}
+
 fn parse_num(tok: Option<&str>, lineno: usize, what: &str) -> Result<u64, String> {
     let t = tok.ok_or(format!("line {lineno}: missing {what}"))?;
     t.parse::<u64>()
@@ -386,27 +480,44 @@ fn parse_num(tok: Option<&str>, lineno: usize, what: &str) -> Result<u64, String
 mod tests {
     use super::*;
 
+    fn send(to: u32, kind: MsgKind, bindings: Vec<Tuple>) -> EventKind {
+        EventKind::Send {
+            to,
+            kind,
+            items: bindings.len().max(1) as u64,
+            link_seq: 0,
+            wave: 0,
+            epoch: 0,
+            bindings,
+        }
+    }
+
     fn sample() -> Trace {
+        let binding = Tuple::new(vec![
+            Value::Int(1),
+            Value::str("1"),
+            Value::str("a \"b\"\n"),
+        ]);
         Trace {
             n_actors: 3,
             dropped: 0,
+            with_bindings: true,
             events: vec![
                 Event {
                     actor: 2,
                     lamport: 1,
                     vclock: vec![0, 0, 1],
-                    kind: EventKind::Send {
-                        to: 0,
-                        kind: MsgKind::RelationRequest,
-                        items: 1,
-                        link_seq: 0,
-                        wave: 0,
-                        epoch: 0,
-                    },
+                    kind: send(0, MsgKind::RelationRequest, vec![]),
+                },
+                Event {
+                    actor: 2,
+                    lamport: 2,
+                    vclock: vec![0, 0, 2],
+                    kind: send(0, MsgKind::TupleRequest, vec![binding, Tuple::unit()]),
                 },
                 Event {
                     actor: 0,
-                    lamport: 2,
+                    lamport: 3,
                     vclock: vec![1, 0, 1],
                     kind: EventKind::Deliver {
                         from: 2,
@@ -419,14 +530,14 @@ mod tests {
                 },
                 Event {
                     actor: 0,
-                    lamport: 3,
+                    lamport: 4,
                     vclock: vec![2, 0, 1],
                     kind: EventKind::Store { rel: 0, size: 1 },
                 },
                 Event {
                     actor: 2,
-                    lamport: 4,
-                    vclock: vec![2, 0, 2],
+                    lamport: 5,
+                    vclock: vec![2, 0, 3],
                     kind: EventKind::End,
                 },
             ],
@@ -437,9 +548,34 @@ mod tests {
     fn text_roundtrip() {
         let t = sample();
         let text = t.to_text();
-        assert!(text.starts_with("mptrace v1\n"), "{text}");
+        assert!(text.starts_with("mptrace v2\n"), "{text}");
+        assert!(
+            text.contains(r#"tuple_request 2 0 0 0 (1,"1","a%20%22b%22%0A") ()"#),
+            "{text}"
+        );
         let back = Trace::from_text(&text).unwrap();
         assert_eq!(back, t);
+    }
+
+    #[test]
+    fn symbols_that_need_escapes_roundtrip() {
+        for text in ["", "1", "-2", "a b,c)", "\\", "\"", "\t\r\n\0", "é\u{301}"] {
+            let b = Tuple::new(vec![Value::str(text), Value::Int(-7)]);
+            let out = binding_text(&b);
+            assert!(!out.contains(char::is_whitespace), "{out}");
+            assert_eq!(parse_binding(&out), Some(b), "{out}");
+        }
+    }
+
+    #[test]
+    fn a_v1_trace_parses_without_bindings_and_writes_back_as_v1() {
+        let text = "mptrace v1\nactors 2\ndropped 0\n0 1 1,0 send 1 tuple_request 2 0 0 0\n";
+        let t = Trace::from_text(text).unwrap();
+        assert!(!t.with_bindings);
+        assert!(
+            matches!(&t.events[0].kind, EventKind::Send { items: 2, bindings, .. } if bindings.is_empty())
+        );
+        assert_eq!(t.to_text(), text);
     }
 
     #[test]
@@ -490,8 +626,27 @@ mod tests {
     #[test]
     fn from_text_rejects_garbage() {
         assert!(Trace::from_text("").is_err());
-        assert!(Trace::from_text("mptrace v2\nactors 1\n").is_err());
-        assert!(Trace::from_text("mptrace v1\n").is_err()); // no actors line
-        assert!(Trace::from_text("mptrace v1\nactors 2\n0 1 0,0 frobnicate\n").is_err());
+        assert!(Trace::from_text("mptrace v3\nactors 1\n").is_err());
+        assert!(Trace::from_text("mptrace v2\n").is_err()); // no actors line
+        assert!(Trace::from_text("mptrace v2\nactors 2\n0 1 0,0 frobnicate\n").is_err());
+        let send = "mptrace v2\nactors 2\n0 1 1,0 send 1 tuple_request";
+        for bad in [
+            " 2 0 0 0 (1)",     // fewer bindings than items
+            " 1 0 0 0 (1) (2)", // more
+            " 1 0 0 0 (1",      // unterminated
+            " 1 0 0 0 (x)",     // neither integer nor string
+            " 1 0 0 0 (\"a)",   // unterminated string
+            " 1 0 0 0 (1,)",    // missing value
+        ] {
+            assert!(
+                Trace::from_text(&format!("{send}{bad}\n")).is_err(),
+                "{bad}"
+            );
+        }
+        let answer = "mptrace v2\nactors 2\n0 1 1,0 send 1 answer 1 0 0 0 (1)\n";
+        assert!(
+            Trace::from_text(answer).is_err(),
+            "answers carry no bindings"
+        );
     }
 }

@@ -17,6 +17,7 @@
 use crate::clock::VClock;
 use crate::event::{Event, EventKind, MsgKind, Stamp, Trace, NO_SEQ};
 use crate::ring::Ring;
+use mp_storage::Tuple;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -67,9 +68,18 @@ impl Tracer {
         });
     }
 
-    /// Record a logical send; returns the stamp to carry alongside the
-    /// message to its delivery site.
-    pub fn on_send(&mut self, to: u32, kind: MsgKind, items: u64, wave: u64, epoch: u64) -> Stamp {
+    /// Record a logical send, with its bindings in send order when its
+    /// kind carries them (else empty); returns the stamp to carry
+    /// alongside the message to its delivery site.
+    pub fn on_send(
+        &mut self,
+        to: u32,
+        kind: MsgKind,
+        items: u64,
+        wave: u64,
+        epoch: u64,
+        bindings: Vec<Tuple>,
+    ) -> Stamp {
         self.tick();
         let seq = self.link_out.entry(to).or_insert(0);
         let link_seq = *seq;
@@ -81,6 +91,7 @@ impl Tracer {
             link_seq,
             wave,
             epoch,
+            bindings,
         });
         Stamp {
             lamport: self.lamport,
@@ -172,6 +183,7 @@ pub fn collect(n_actors: u32, ring: &Ring<Event>) -> Trace {
         n_actors,
         events: ring.drain(),
         dropped: ring.dropped(),
+        with_bindings: true,
     }
 }
 
@@ -186,7 +198,7 @@ mod tests {
         let mut a = Tracer::new(0, 3, Arc::clone(&ring));
         let mut b = Tracer::new(1, 3, Arc::clone(&ring));
 
-        let stamp = a.on_send(1, MsgKind::Answer, 1, 0, 0);
+        let stamp = a.on_send(1, MsgKind::Answer, 1, 0, 0, vec![]);
         b.on_deliver(0, Some(&stamp), MsgKind::Answer, 1, 0, 0);
 
         let t = collect(3, &ring);
@@ -203,9 +215,9 @@ mod tests {
     fn link_seqs_count_per_destination() {
         let ring = Arc::new(Ring::with_capacity(64));
         let mut a = Tracer::new(0, 3, ring);
-        assert_eq!(a.on_send(1, MsgKind::Answer, 1, 0, 0).link_seq, 0);
-        assert_eq!(a.on_send(2, MsgKind::Answer, 1, 0, 0).link_seq, 0);
-        assert_eq!(a.on_send(1, MsgKind::Answer, 1, 0, 0).link_seq, 1);
+        assert_eq!(a.on_send(1, MsgKind::Answer, 1, 0, 0, vec![]).link_seq, 0);
+        assert_eq!(a.on_send(2, MsgKind::Answer, 1, 0, 0, vec![]).link_seq, 0);
+        assert_eq!(a.on_send(1, MsgKind::Answer, 1, 0, 0, vec![]).link_seq, 1);
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! Watch the messages: run the paper's P1 (Example 2.1, Fig 1) on a tiny
-//! EDB with tracing enabled and print the full message log, then a
-//! per-kind census — including the §3.2 termination protocol's probe
-//! waves doing their two-wave dance.
+//! EDB with tracing enabled and print every logical send of the event
+//! trace, bindings included, then a per-kind census — including the
+//! §3.2 termination protocol's probe waves doing their two-wave dance.
 //!
 //! ```sh
 //! cargo run --example distributed_trace
 //! ```
 
-use mp_framework::engine::{Engine, Payload};
+use mp_framework::engine::Engine;
+use mp_framework::trace::{EventKind, MsgKind};
 use mp_framework::workloads::scenarios;
 use std::collections::BTreeMap;
 
@@ -18,23 +19,29 @@ fn main() {
         .evaluate()
         .expect("evaluate");
 
-    let trace = result.trace.expect("tracing was enabled");
-    println!("== full message log ({} messages) ==", trace.len());
-    for (i, m) in trace.iter().enumerate() {
-        let tag = match &m.payload {
-            Payload::EndRequest { .. }
-            | Payload::EndNegative { .. }
-            | Payload::EndConfirmed { .. }
-            | Payload::SccFinished => "  [protocol]",
-            _ => "",
+    let trace = result.events.expect("tracing was enabled");
+    let engine = trace.engine_actor();
+    println!("== every logical send (actor #{engine} is the engine) ==");
+    let mut census: BTreeMap<MsgKind, usize> = BTreeMap::new();
+    for e in &trace.events {
+        let EventKind::Send {
+            to, kind, bindings, ..
+        } = &e.kind
+        else {
+            continue;
         };
-        println!("{i:>4}  {m}{tag}");
+        *census.entry(*kind).or_insert(0) += 1;
+        let protocol = matches!(
+            kind,
+            MsgKind::EndRequest
+                | MsgKind::EndNegative
+                | MsgKind::EndConfirmed
+                | MsgKind::SccFinished
+        );
+        let tag = if protocol { "  [protocol]" } else { "" };
+        println!("#{} -> #{to}: {kind} {bindings:?}{tag}", e.actor);
     }
 
-    let mut census: BTreeMap<&'static str, usize> = BTreeMap::new();
-    for m in &trace {
-        *census.entry(m.payload.kind_name()).or_insert(0) += 1;
-    }
     println!("\n== census ==");
     for (kind, count) in census {
         println!("  {kind:<18} {count}");

@@ -42,7 +42,7 @@
 //!                                 partition keys, and the shard fan-out
 //!                                 each node gets at --shards K)
 //!   --trace FILE                  record the clock-stamped event trace
-//!                                 and write it (mptrace v1 text) to
+//!                                 and write it (mptrace v2 text) to
 //!                                 FILE; `-` writes to stderr
 //!   --check                       verify the recorded trace against the
 //!                                 protocol invariant suite (implies

@@ -15,9 +15,9 @@ use common::{assert_invariant, fault, flat_workloads, lattice, regressions, work
 use mp_framework::datalog::parser::{parse_program, parse_rule};
 use mp_framework::datalog::{Database, Program};
 use mp_framework::engine::node::{Network, ShardPlan};
-use mp_framework::engine::{Engine, FaultPlan, Payload, RuntimeKind};
+use mp_framework::engine::{Engine, FaultPlan, QueryResult, RuntimeKind};
 use mp_framework::rulegoal::SipKind;
-use mp_framework::trace::EventKind;
+use mp_framework::trace::{EventKind, MsgKind};
 use mp_framework::workloads::random_programs::{
     generate, generate_stratified, is_interesting, ProgramSpec, StratifiedSpec,
 };
@@ -448,8 +448,8 @@ fn pool_traced_runs_check_clean_and_replay() {
     }
 }
 
-/// Protocol invariant 6 (1–5 are `common::check_invariants`, run on every
-/// message log): the Fig 2 machinery only runs inside nontrivial strong
+/// Protocol invariant 6 (1–5 are `mp_trace::check`'s MP311–MP315, run on
+/// every traced run): the Fig 2 machinery only runs inside nontrivial strong
 /// components. A nonrecursive rule chain closes every stream it opened by
 /// the `End`/`EndOfRequests` cascade with zero protocol traffic; a cycle
 /// needs probe waves and is finished by `SccFinished`.
@@ -473,29 +473,31 @@ fn protocol_messages_flow_only_inside_recursive_components() {
     let traced = [Config::default().traced()];
     let r = assert_invariant(&chain, &traced).runs.remove(0);
     assert_eq!(r.stats.protocol_messages, 0, "no recursion, no probes");
-    let log = r.trace.expect("the simulator logs messages");
     // Answers flow feeder -> customer, against the request that opened
     // the stream.
-    let opened: BTreeSet<_> = log
-        .iter()
-        .filter(|m| matches!(m.payload, Payload::RelationRequest))
-        .map(|m| (m.to, m.from))
+    let sends = |r: &QueryResult, of: MsgKind| -> BTreeSet<(u32, u32)> {
+        let events = r.events.as_ref().expect("a traced run records events");
+        (events.events.iter())
+            .filter_map(|e| match e.kind {
+                EventKind::Send { to, kind, .. } if kind == of => Some((e.actor, to)),
+                _ => None,
+            })
+            .collect()
+    };
+    let opened: BTreeSet<_> = (sends(&r, MsgKind::RelationRequest).into_iter())
+        .map(|(customer, feeder)| (feeder, customer))
         .collect();
-    let ended: BTreeSet<_> = log
-        .iter()
-        .filter(|m| matches!(m.payload, Payload::End))
-        .map(|m| (m.from, m.to))
-        .collect();
-    assert_eq!(opened, ended, "all opened streams must end");
+    assert_eq!(
+        opened,
+        sends(&r, MsgKind::End),
+        "all opened streams must end"
+    );
 
     let r = assert_invariant(&scenarios::tc_cycle(8), &traced)
         .runs
         .remove(0);
     assert!(r.stats.protocol_messages > 0, "recursion needs the probes");
-    let log = r.trace.expect("the simulator logs messages");
-    assert!(log
-        .iter()
-        .any(|m| matches!(m.payload, Payload::SccFinished)));
+    assert!(!sends(&r, MsgKind::SccFinished).is_empty());
 }
 
 // ---------------------------------------------------------------------
