@@ -410,8 +410,7 @@ pub fn analyze(
                 Diagnostic::new(
                     Code::HotLink,
                     format!(
-                        "hot link: node #{} ({}) is estimated to send ~{} answer tuples; \
-                         consider a larger --batch-size",
+                        "hot link: node #{} ({}) is estimated to send ~{} answer tuples",
                         a.id,
                         a.desc,
                         fmt_card(a.volume)

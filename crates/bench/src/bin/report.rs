@@ -4,7 +4,7 @@
 //! cargo run -p mp-bench --release --bin report                   # full scale
 //! cargo run -p mp-bench --release --bin report -- quick          # smoke scale
 //! cargo run -p mp-bench --release --bin report -- e3             # one experiment
-//! cargo run -p mp-bench --release --bin report -- quick e11 --json
+//! cargo run -p mp-bench --release --bin report -- quick e12 --json
 //! ```
 //!
 //! `--json` renders the selected experiment as a JSON array instead of
@@ -28,7 +28,7 @@ fn main() {
         .map(String::as_str);
 
     match only {
-        None if json => eprintln!("--json needs one experiment, e.g. `report quick e11 --json`"),
+        None if json => eprintln!("--json needs one experiment, e.g. `report quick e12 --json`"),
         None => print!("{}", full_report(scale)),
         Some(id) => match EXPERIMENTS.iter().find(|(known, ..)| *known == id) {
             Some((_, _, table)) => print!("{}", table(scale, json)),

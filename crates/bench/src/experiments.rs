@@ -98,29 +98,12 @@ crate::impl_row!(E10Row {
     recovered,
     answers_ok,
 });
-crate::impl_row!(A1Row {
-    workload,
-    plain_requests,
-    batched_requests,
-    plain_total,
-    batched_total,
-});
 crate::impl_row!(A2Row {
     n,
     sip,
     answers,
     messages,
     stored
-});
-crate::impl_row!(E11Row {
-    workload,
-    batch,
-    answers,
-    logical_answers,
-    physical_frames,
-    millis,
-    tuples_per_sec,
-    speedup,
 });
 crate::impl_row!(E14Row {
     workload,
@@ -715,59 +698,6 @@ pub fn e9(scale: Scale) -> Vec<E9Row> {
     rows
 }
 
-/// A1 row: packaged tuple requests (§3.1 footnote 2).
-#[derive(Clone, Debug)]
-pub struct A1Row {
-    /// Workload.
-    pub workload: String,
-    /// Request frames at batch size 1 — one per binding, so also the
-    /// logical request count at either size.
-    pub plain_requests: u64,
-    /// Request frames at batch size 64.
-    pub batched_requests: u64,
-    /// Total messages without batching.
-    pub plain_total: u64,
-    /// Total messages with batching.
-    pub batched_total: u64,
-}
-
-/// A1 — ablation of the packaged-tuple-request extension: strong
-/// reductions on fan-out workloads, neutral on sequential chains.
-pub fn a1(scale: Scale) -> Vec<A1Row> {
-    let (n, m) = match scale {
-        Scale::Quick => (40, 160),
-        Scale::Full => (120, 600),
-    };
-    let mut rows = Vec::new();
-    for w in [
-        scenarios::tc_random(n, m, 3),
-        scenarios::sg_tree(4, 3, 1),
-        scenarios::tc_chain(n),
-    ] {
-        let plain = Engine::new(w.program.clone(), w.db.clone())
-            .evaluate()
-            .expect("plain");
-        let batched = Engine::new(w.program.clone(), w.db.clone())
-            .with_batch_size(64)
-            .evaluate()
-            .expect("batched");
-        assert_eq!(plain.answers, batched.answers, "{}", w.name);
-        assert_eq!(
-            plain.stats.tuple_requests, batched.stats.logical_tuple_requests,
-            "{}",
-            w.name
-        );
-        rows.push(A1Row {
-            workload: w.name,
-            plain_requests: plain.stats.tuple_requests,
-            batched_requests: batched.stats.tuple_requests,
-            plain_total: plain.stats.total_messages(),
-            batched_total: batched.stats.total_messages(),
-        });
-    }
-    rows
-}
-
 /// A2 row: cost-based SIP from EDB statistics (§1.2 extension).
 #[derive(Clone, Debug)]
 pub struct A2Row {
@@ -927,99 +857,6 @@ pub fn e10(scale: Scale) -> Vec<E10Row> {
     rows
 }
 
-/// E11 row: scalar vs vectorized data plane.
-#[derive(Clone, Debug)]
-pub struct E11Row {
-    /// Workload.
-    pub workload: String,
-    /// Flush bound (`scalar` = 1: every item is its own frame).
-    pub batch: String,
-    /// Answers.
-    pub answers: usize,
-    /// Logical answer tuples moved (batch-invariant).
-    pub logical_answers: u64,
-    /// Physical frames delivered (`Stats::total_messages`).
-    pub physical_frames: u64,
-    /// Wall time in milliseconds (best of the measured repetitions).
-    pub millis: f64,
-    /// Logical answer tuples per second of wall time.
-    pub tuples_per_sec: f64,
-    /// Throughput relative to the scalar row of the same workload.
-    pub speedup: f64,
-}
-
-/// E11 — data-plane vectorization: logical answer throughput of the
-/// scalar path vs batched frames at flush bounds 4 and 64, on a fan-out
-/// transitive closure and a nonlinear recursion. Answer sets and logical
-/// counts are asserted identical across rows — batching only changes
-/// physical framing (§3.1 footnote 2, extended upward).
-///
-/// Runs go over the self-healing transport with a zero-fault plan: in
-/// the bare simulator a frame costs one queue push, so framing is free
-/// and vectorization cannot show; on the wire each frame carries a
-/// sequence number, a checksum, an ack, and a retransmission-log entry,
-/// which is the per-frame cost batching amortizes.
-pub fn e11(scale: Scale) -> Vec<E11Row> {
-    let ((n, m), depth, reps) = match scale {
-        Scale::Quick => ((60, 240), 8, 1),
-        Scale::Full => ((800, 12_000), 12, 5),
-    };
-    let mut rows = Vec::new();
-    for w in [
-        scenarios::tc_random(n, m, 7),
-        scenarios::tc_nonlinear_chain(depth),
-    ] {
-        let mut wrows = Vec::new();
-        let mut scalar_answers = Vec::new();
-        let mut scalar_logical = 0u64;
-        // Batch size 1 is the scalar framing and the speedup baseline.
-        for batch in [1usize, 4, 64] {
-            let (r, millis) = measure(
-                reps,
-                || {
-                    Engine::new(w.program.clone(), w.db.clone())
-                        .with_fault_plan(FaultPlan::default())
-                        .with_batch_size(batch)
-                },
-                |eng| eng.evaluate().expect("e11 run"),
-            );
-            if batch == 1 {
-                scalar_answers = r.answers.sorted_rows();
-                scalar_logical = r.stats.logical_answers;
-            } else {
-                // The vectorized plane must be semantically invisible.
-                assert_eq!(r.answers.sorted_rows(), scalar_answers, "{}", w.name);
-                assert_eq!(r.stats.logical_answers, scalar_logical, "{}", w.name);
-            }
-            let rate = r.stats.logical_answers as f64 / (millis / 1e3).max(1e-9);
-            wrows.push(E11Row {
-                workload: w.name.clone(),
-                batch: if batch == 1 {
-                    "scalar".into()
-                } else {
-                    batch.to_string()
-                },
-                answers: r.answers.len(),
-                logical_answers: r.stats.logical_answers,
-                physical_frames: r.stats.total_messages(),
-                millis,
-                tuples_per_sec: rate,
-                speedup: 1.0,
-            });
-        }
-        let base_rate = wrows
-            .iter()
-            .find(|r| r.batch == "scalar")
-            .map(|r| r.tuples_per_sec)
-            .unwrap_or(1.0);
-        for r in &mut wrows {
-            r.speedup = r.tuples_per_sec / base_rate.max(1e-9);
-        }
-        rows.extend(wrows);
-    }
-    rows
-}
-
 /// E14 row: resource-governance overhead.
 #[derive(Clone, Debug)]
 pub struct E14Row {
@@ -1053,9 +890,11 @@ pub struct E14Row {
 /// * `headroom` — message *and* byte limits set far above what the run
 ///   uses, so every limit comparison executes and none trips;
 /// * `wired` — the self-healing transport with a zero-fault plan and no
-///   window (the E11 baseline);
-/// * `wired+window` — the same transport under a mailbox bound, so
-///   credit admission runs on every frame and some frames stall.
+///   window;
+/// * `wired+window` — the same transport under a mailbox bound of two
+///   frames, so credit admission runs on every frame and some frames
+///   stall (frames packaged at turn end are few enough that a bound of
+///   four no longer binds at quick scale).
 ///
 /// Answers are asserted identical across all five rows, logical
 /// traffic identical across every un-windowed row, and no cancel wave
@@ -1078,7 +917,7 @@ pub fn e14(scale: Scale) -> Vec<E14Row> {
         ("wired", None, true),
         (
             "wired+window",
-            Some(QueryBudget::new().with_mailbox_bound(4)),
+            Some(QueryBudget::new().with_mailbox_bound(2)),
             true,
         ),
     ];
@@ -1599,7 +1438,6 @@ pub const EXPERIMENTS: &[Experiment] = &[
     experiment!(e8, "E8 — graph size independence (Thm 2.1)"),
     experiment!(e9, "E9 — §4.3 cost model"),
     experiment!(e10, "E10 — evaluation under faults (chaos sweep)"),
-    experiment!(e11, "E11 — data-plane vectorization (tuples/sec)"),
     experiment!(e12, "E12 — tracing overhead (mp-trace off vs on)"),
     experiment!(e13, "E13 — worker-pool scaling (work-stealing scheduler)"),
     experiment!(e14, "E14 — resource-governance overhead (clean path)"),
@@ -1608,7 +1446,6 @@ pub const EXPERIMENTS: &[Experiment] = &[
         e16,
         "E16 — staged stratified evaluation (negation + aggregates)"
     ),
-    experiment!(a1, "A1 — packaged tuple requests (ablation, §3.1 fn 2)"),
     experiment!(
         a2,
         "A2 — cost-based SIP from EDB statistics (ablation, §1.2)"
@@ -1789,24 +1626,6 @@ mod tests {
     }
 
     #[test]
-    fn a1_batching_helps_fanout_not_chains() {
-        let rows = a1(Scale::Quick);
-        let random = rows
-            .iter()
-            .find(|r| r.workload.starts_with("tc-random"))
-            .unwrap();
-        assert!(random.batched_requests < random.plain_requests);
-        let chain = rows
-            .iter()
-            .find(|r| r.workload.starts_with("tc-chain"))
-            .unwrap();
-        assert_eq!(
-            chain.batched_requests, chain.plain_requests,
-            "chains have nothing to package"
-        );
-    }
-
-    #[test]
     fn a2_cost_based_no_worse_than_greedy() {
         let rows = a2(Scale::Quick);
         let greedy = rows.iter().find(|r| r.sip == "greedy").unwrap();
@@ -1833,32 +1652,6 @@ mod tests {
     }
 
     #[test]
-    fn e11_batching_cuts_frames_without_touching_logical_traffic() {
-        // Wall-clock throughput is machine-dependent and asserted nowhere;
-        // the deterministic claims are: identical answers and logical
-        // counts per workload (checked inside e11 itself), and strictly
-        // fewer physical frames at flush bound 64 than on the scalar path.
-        let rows = e11(Scale::Quick);
-        for w in rows
-            .iter()
-            .map(|r| r.workload.clone())
-            .collect::<BTreeSet<_>>()
-        {
-            let of = |b: &str| rows.iter().find(|r| r.workload == w && r.batch == b);
-            let scalar = of("scalar").unwrap();
-            let b64 = of("64").unwrap();
-            assert_eq!(scalar.answers, b64.answers, "{w}");
-            assert_eq!(scalar.logical_answers, b64.logical_answers, "{w}");
-            assert!(
-                b64.physical_frames < scalar.physical_frames,
-                "{w}: batch 64 sent {} frames vs scalar {}",
-                b64.physical_frames,
-                scalar.physical_frames
-            );
-        }
-    }
-
-    #[test]
     fn e14_governance_is_invisible_on_the_clean_path() {
         // Wall-clock overhead is machine-dependent and asserted nowhere;
         // the deterministic claims are: identical answers across every
@@ -1880,7 +1673,7 @@ mod tests {
         assert!(
             rows.iter()
                 .any(|r| r.governance == "wired+window" && r.stalls > 0),
-            "a mailbox bound of 4 must stall at least one frame somewhere"
+            "a mailbox bound of 2 must stall at least one frame somewhere"
         );
     }
 

@@ -166,7 +166,6 @@ pub struct Engine {
     budget: QueryBudget,
     cancel: CancelToken,
     trace: bool,
-    batch_size: usize,
     fault_plan: Option<FaultPlan>,
     recovery: bool,
     workers: usize,
@@ -188,7 +187,6 @@ impl Engine {
             budget: QueryBudget::default(),
             cancel: CancelToken::default(),
             trace: false,
-            batch_size: 1,
             fault_plan: None,
             recovery: true,
             workers: 0,
@@ -268,19 +266,6 @@ impl Engine {
     /// skips every recording branch.
     pub fn with_trace(mut self, trace: bool) -> Engine {
         self.trace = trace;
-        self
-    }
-
-    /// Set the per-arc batch flush bound (default 1, clamped to ≥ 1).
-    /// At 1 every tuple request, answer and per-binding end is its own
-    /// frame. Above 1 they are packaged per arc into frames of the same
-    /// kind (§3.1 footnote 2): a buffer reaching this size is flushed
-    /// mid-turn, smaller buffers flush when their node's mailbox drains.
-    /// Semantically transparent — the logical message counts and Thm 3.1
-    /// observables are identical at every size — while physical frame
-    /// counts drop on fan-out-heavy workloads.
-    pub fn with_batch_size(mut self, batch_size: usize) -> Engine {
-        self.batch_size = batch_size.max(1);
         self
     }
 
@@ -472,7 +457,6 @@ impl Engine {
         let compiled = self.compile()?;
         let graph = compiled.graph;
         let mut network = Network::compile_sharded(&graph, &self.db, &self.shard_plan(&graph));
-        network.set_batch_max(self.batch_size);
         let out = match self.runtime {
             RuntimeKind::Sim(schedule) => {
                 let sim = SimRuntime {
@@ -603,6 +587,18 @@ impl Engine {
                 let eng = self.sub_engine(sub, &working_db, self.remaining_budget(started, &spent));
                 let mut out = eng.evaluate_direct(recorded)?;
                 out.stats.merge(&spent);
+                // The query's answers arrive after every lower stage's
+                // traffic.
+                let s = &mut out.stats;
+                for at in [
+                    &mut s.first_answer_at,
+                    &mut s.median_answer_at,
+                    &mut s.last_answer_at,
+                ] {
+                    if *at > 0 {
+                        *at += spent.logical_messages();
+                    }
+                }
                 return Ok(out);
             }
 

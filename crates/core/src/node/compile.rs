@@ -263,10 +263,11 @@ pub struct Common {
     /// above 1. Read by that setter only; the node consults `batch_max`.
     pub batching: bool,
     /// Flush bound: an arc's buffer reaching this size ships as one
-    /// frame even mid-turn (the size bound of the flush policy; the turn
-    /// bound is the mailbox-empty flush at the end of every `handle`).
-    /// At 1 every item ships at the push, one frame each; above 1 a
-    /// frame packages several (§3.1 footnote 2).
+    /// frame even mid-turn. Unbounded as compiled, so each arc's buffer
+    /// ships as one frame when the turn ends (the mailbox-empty flush at
+    /// the end of every `handle`), under credit pressure, or before a
+    /// release or `End` (§3.1 footnote 2). At 1 every item ships at the
+    /// push, one frame each.
     pub batch_max: usize,
     /// Per-feeder buffer of requests awaiting a flush.
     pub batch_buf: Vec<Vec<Tuple>>,
@@ -366,8 +367,8 @@ impl Network {
     }
 
     /// Set the per-arc flush bound on every process (clamped to ≥ 1;
-    /// 1, the default, is one item per frame). Ignored after
-    /// `set_batching(false)`.
+    /// 1 is one item per frame; compiled networks are unbounded and
+    /// ship at turn end). Ignored after `set_batching(false)`.
     pub fn set_batch_max(&mut self, max: usize) {
         for p in &mut self.processes {
             if p.common.batching {
@@ -622,7 +623,7 @@ impl Network {
                         eor_sent_to_feeders: false,
                         term,
                         batching: true,
-                        batch_max: 1,
+                        batch_max: usize::MAX,
                         batch_buf: vec![Vec::new(); feeder_count],
                         answer_buf: vec![Vec::new(); customer_count],
                         etr_buf: vec![Vec::new(); customer_count],

@@ -26,6 +26,7 @@ use crate::msg::{Endpoint, Msg, Pack, Payload};
 use crate::stats::Stats;
 use crate::termination::TermAction;
 use mp_datalog::Term;
+use mp_rulegoal::NodeId;
 use mp_storage::{Tuple, Value};
 
 /// Per-message context handed to a process by the runtime.
@@ -139,14 +140,14 @@ impl Common {
 
     /// Send a tuple request to feeder `i`, tracking cross-arc pendings.
     /// The request joins the arc's buffer, which ships as one frame when
-    /// it reaches the flush bound or the turn ends.
+    /// the turn ends.
     fn request_feeder(&mut self, ctx: &mut Ctx<'_>, i: usize, binding: Tuple) {
         if !self.feeders[i].intra {
             self.pending.insert((i, binding.clone()));
         }
         self.batch_buf[i].push(binding);
         if self.batch_buf[i].len() >= self.batch_max {
-            self.flush_requests_for(ctx, i);
+            self.flush_arc(ctx, i);
         }
     }
 
@@ -159,7 +160,7 @@ impl Common {
         }
         self.answer_buf[ci].push(tuple);
         if self.answer_buf[ci].len() >= self.batch_max {
-            self.flush_answers_for(ctx, ci);
+            self.flush_arc(ctx, self.feeders.len() + ci);
         }
     }
 
@@ -170,75 +171,55 @@ impl Common {
         self.customers[ci].ended.insert(binding.clone());
         self.etr_buf[ci].push(binding);
         if self.etr_buf[ci].len() >= self.batch_max {
-            self.flush_etrs_for(ctx, ci);
+            self.flush_arc(ctx, self.feeders.len() + ci);
         }
     }
 
-    /// Flush policy, turn- and size-bounded. The size bound is enforced
-    /// at buffer time: a buffer that reaches `batch_max` ships
-    /// immediately (so `batch_max = 1` ships every item at the push, one
-    /// frame each). The turn bound lives here: when the node is about to
-    /// go idle (its mailbox is drained), every partial buffer drains too.
-    /// Buffering across messages is what gives the §3.1-footnote-2
-    /// packaging its volume; request pending-tracking happens at buffer
-    /// time and `empty_queues` inspects the buffers, so the §3.2
-    /// protocol can never declare a node idle while it holds unsent
-    /// traffic. At bound 1 no push leaves anything parked, so the walk
-    /// over every arc is skipped (it ran twice a message and measured
-    /// ~1 % of `sg-bound`'s op).
+    /// Flush policy: the turn bound. When the node is about to go idle
+    /// (its mailbox is drained), or its links are under credit pressure,
+    /// each arc's buffer ships as one frame. Buffering across messages
+    /// is what gives the §3.1-footnote-2 packaging its volume; request
+    /// pending-tracking happens at buffer time and `empty_queues`
+    /// inspects the buffers, so the §3.2 protocol can never declare a
+    /// node idle while it holds unsent traffic. At a flush bound of 1
+    /// (`Network::set_batching(false)`) every push ships at once, so
+    /// the walk over every arc is skipped.
     fn flush_batches(&mut self, ctx: &mut Ctx<'_>) {
         if self.batch_max > 1 && (ctx.mailbox_empty || ctx.pressure) {
             self.flush_batches_now(ctx);
         }
     }
 
-    /// Unconditionally flush every buffer (used before releasing feeders
-    /// or ending streams, so an `EndOfRequests` can never overtake
-    /// buffered requests and an `End` can never overtake buffered
-    /// answers or per-binding ends).
+    /// Unconditionally flush every buffer (also used before releasing
+    /// feeders or ending streams, so an `EndOfRequests` can never
+    /// overtake buffered requests and an `End` can never overtake
+    /// buffered answers or per-binding ends).
     fn flush_batches_now(&mut self, ctx: &mut Ctx<'_>) {
-        for i in 0..self.batch_buf.len() {
-            self.flush_requests_for(ctx, i);
-        }
-        for ci in 0..self.customers.len() {
-            self.flush_answers_for(ctx, ci);
-            self.flush_etrs_for(ctx, ci);
+        for arc in 0..self.feeders.len() + self.customers.len() {
+            self.flush_arc(ctx, arc);
         }
     }
 
-    /// Ship feeder `i`'s buffered tuple requests as one frame.
-    fn flush_requests_for(&mut self, ctx: &mut Ctx<'_>, i: usize) {
-        let Some(bindings) = Pack::take(&mut self.batch_buf[i]) else {
-            return;
-        };
-        let (node, intra) = (self.feeders[i].node, self.feeders[i].intra);
-        self.send(
-            ctx,
-            Endpoint::Node(node),
-            Payload::TupleRequests(bindings),
-            intra,
-        );
-    }
-
-    /// Ship customer `ci`'s buffered answers as one frame.
-    fn flush_answers_for(&mut self, ctx: &mut Ctx<'_>, ci: usize) {
-        let Some(tuples) = Pack::take(&mut self.answer_buf[ci]) else {
+    /// Ship arc `arc`'s buffers, one frame per kind: feeder `i`'s
+    /// requests (`arc = i`), or customer `ci`'s answers and then its
+    /// per-binding ends (`arc = feeders.len() + ci`), so a binding's
+    /// answers precede its end on the wire.
+    fn flush_arc(&mut self, ctx: &mut Ctx<'_>, arc: usize) {
+        let Some(ci) = arc.checked_sub(self.feeders.len()) else {
+            if let Some(bindings) = Pack::take(&mut self.batch_buf[arc]) {
+                let (node, intra) = (self.feeders[arc].node, self.feeders[arc].intra);
+                let payload = Payload::TupleRequests(bindings);
+                self.send(ctx, Endpoint::Node(node), payload, intra);
+            }
             return;
         };
         let (ep, intra) = (self.customers[ci].ep, self.customers[ci].intra);
-        self.send(ctx, ep, Payload::Answers(tuples), intra);
-    }
-
-    /// Ship customer `ci`'s buffered per-binding ends as one frame —
-    /// always after that arc's buffered answers, so a binding's answers
-    /// precede its end on the wire.
-    fn flush_etrs_for(&mut self, ctx: &mut Ctx<'_>, ci: usize) {
-        let Some(bindings) = Pack::take(&mut self.etr_buf[ci]) else {
-            return;
-        };
-        self.flush_answers_for(ctx, ci);
-        let (ep, intra) = (self.customers[ci].ep, self.customers[ci].intra);
-        self.send(ctx, ep, Payload::EndTupleRequests(bindings), intra);
+        if let Some(tuples) = Pack::take(&mut self.answer_buf[ci]) {
+            self.send(ctx, ep, Payload::Answers(tuples), intra);
+        }
+        if let Some(bindings) = Pack::take(&mut self.etr_buf[ci]) {
+            self.send(ctx, ep, Payload::EndTupleRequests(bindings), intra);
+        }
     }
 
     /// Flush per-binding ends on all cross customer arcs.
@@ -295,6 +276,13 @@ impl Common {
     /// All cross customers have sent end-of-requests.
     fn all_customers_released(&self) -> bool {
         self.customers.iter().filter(|c| !c.intra).all(|c| c.eor)
+    }
+
+    /// This node's children in its component's BFS spanning tree (none
+    /// outside a nontrivial component).
+    fn bfst_children(&self) -> Vec<NodeId> {
+        let term = self.term.as_ref();
+        term.map(|t| t.bfst_children.clone()).unwrap_or_default()
     }
 }
 
@@ -372,23 +360,12 @@ impl Process {
             work => {
                 // Any non-protocol message is work: it resets idleness and
                 // counts toward the intra-component receive counter.
-                let from_intra = match from {
-                    Endpoint::Engine => false,
-                    Endpoint::Node(n) => self
-                        .common
-                        .customers
-                        .iter()
-                        .find(|c| c.ep == Endpoint::Node(n))
-                        .map(|c| c.intra)
-                        .or_else(|| {
-                            self.common
-                                .feeders
-                                .iter()
-                                .find(|f| f.node == n)
-                                .map(|f| f.intra)
-                        })
-                        .unwrap_or(false),
-                };
+                let c = &self.common;
+                let from_intra = from.node().is_some()
+                    && c.customer_idx(from)
+                        .map(|ci| c.customers[ci].intra)
+                        .or_else(|| c.feeder_idx(from).map(|i| c.feeders[i].intra))
+                        .unwrap_or(false);
                 if let Some(t) = self.common.term.as_mut() {
                     t.on_work();
                     if from_intra {
@@ -398,11 +375,7 @@ impl Process {
                 self.handle_work(from, work, ctx);
             }
         }
-        self.common.flush_batches(ctx);
-        self.post_step(ctx);
-        // `post_step` may have buffered per-binding ends (trivial nodes
-        // flush ends once settled); drain them before going idle.
-        self.common.flush_batches(ctx);
+        self.poke(ctx);
     }
 
     /// Idle-time nudge from the runtime, equivalent to the tail of
@@ -417,6 +390,8 @@ impl Process {
     pub fn poke(&mut self, ctx: &mut Ctx<'_>) {
         self.common.flush_batches(ctx);
         self.post_step(ctx);
+        // `post_step` may have buffered per-binding ends (trivial nodes
+        // flush ends once settled); drain them before going idle.
         self.common.flush_batches(ctx);
     }
 
@@ -597,29 +572,17 @@ impl Process {
             // or ended on a component that is being drained.
             return;
         }
-        ctx.stats.probe_waves += self
-            .common
-            .term
-            .as_ref()
-            .map(|t| t.waves_completed)
-            .unwrap_or(0);
-        if let Some((w, e)) = self.common.term.as_ref().map(|t| (t.wave, t.epoch)) {
-            ctx.trace_wave(w, e);
-        }
         if let Some(t) = self.common.term.as_mut() {
+            ctx.stats.probe_waves += t.waves_completed;
             t.waves_completed = 0;
+            ctx.trace_wave(t.wave, t.epoch);
         }
         self.common.flush_etrs(ctx);
         if self.common.all_customers_released() {
             self.common.end_streams(ctx);
             self.common.release_feeders(ctx);
             // Broadcast SccFinished down the BFST.
-            let children: Vec<_> = self
-                .common
-                .term
-                .as_ref()
-                .map(|t| t.bfst_children.clone())
-                .unwrap_or_default();
+            let children = self.common.bfst_children();
             if let Some(t) = self.common.term.as_mut() {
                 t.finished = true;
             }
@@ -644,13 +607,7 @@ impl Process {
             return;
         }
         self.cancel_local();
-        let children: Vec<_> = self
-            .common
-            .term
-            .as_ref()
-            .map(|t| t.bfst_children.clone())
-            .unwrap_or_default();
-        for c in children {
+        for c in self.common.bfst_children() {
             self.common.send(
                 ctx,
                 Endpoint::Node(c),
@@ -684,12 +641,7 @@ impl Process {
 
     /// Member cleanup after the leader concluded.
     fn on_scc_finished(&mut self, ctx: &mut Ctx<'_>) {
-        let children: Vec<_> = self
-            .common
-            .term
-            .as_ref()
-            .map(|t| t.bfst_children.clone())
-            .unwrap_or_default();
+        let children = self.common.bfst_children();
         if let Some(t) = self.common.term.as_mut() {
             if t.finished {
                 return;

@@ -194,8 +194,9 @@ impl State {
         self.schedule.push(pos);
         match msg.to {
             Endpoint::Engine => {
+                // The explorer reports no answer arrival.
                 self.sink
-                    .accept(msg)
+                    .accept(msg, 0)
                     .expect("nodes send the engine goal-arity answers and ends only");
                 if self.sink.post_end_answers > 0 {
                     return Err(ScheduleViolation::AnswerAfterEnd {

@@ -36,9 +36,9 @@ pub struct QueryBudget {
     /// Wall-clock deadline. Exceeding it raises
     /// [`crate::runtime::RuntimeError::Timeout`].
     pub deadline: Duration,
-    /// Logical-message budget: batching-invariant logical items sent
+    /// Logical-message budget: framing-invariant logical items sent
     /// (what [`crate::stats::Stats::logical_messages`] counts), so a
-    /// budget behaves identically at every batch size. Exceeding it
+    /// budget means the same however the items are framed. Exceeding it
     /// starts a cancel wave and raises
     /// [`crate::runtime::RuntimeError::BudgetExceeded`].
     pub max_messages: Option<u64>,

@@ -353,6 +353,7 @@ impl SimRuntime {
         if sink.ends == 0 {
             return Err(RuntimeError::NoTermination);
         }
+        sink.note_arrivals(&mut stats);
         Ok(SimOutcome {
             answers: sink.answers,
             stats,
@@ -612,7 +613,7 @@ impl CleanSim {
                 if let Some(tr) = self.tracers[n].as_mut() {
                     trace_deliver(tr, &msg, stamp.as_deref(), n);
                 }
-                self.sink.accept(msg)?;
+                self.sink.accept(msg, self.governor.messages_used())?;
             }
             Endpoint::Node(id) => {
                 self.governor.note_enqueue(msg.payload.approx_bytes());
@@ -668,7 +669,7 @@ impl FaultySim {
                     // the node actually processes them.
                     Endpoint::Engine => {
                         driver.note_deliver(&msg, stamp.as_deref());
-                        self.sink.accept(msg)?;
+                        self.sink.accept(msg, governor.messages_used())?;
                     }
                     Endpoint::Node(id) => {
                         governor.note_enqueue(msg.payload.approx_bytes());

@@ -859,7 +859,7 @@ impl ThreadRuntime {
                     let mut ended = Ok(false);
                     for (m, s) in delivered.drain(..) {
                         t.d.note_deliver(&m, s.as_deref());
-                        ended = sink.accept(m);
+                        ended = sink.accept(m, governor.messages_used());
                         if !matches!(ended, Ok(false)) {
                             break;
                         }
@@ -958,6 +958,7 @@ impl ThreadRuntime {
             }
         }
         let events = ring.map(|r| mp_trace::collect((n + 1) as u32, &r));
+        sink.note_arrivals(&mut stats);
         result.map(|()| SimOutcome {
             answers: sink.answers,
             stats,

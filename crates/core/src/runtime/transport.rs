@@ -550,6 +550,8 @@ pub(crate) struct EngineSink {
     pub ends: u64,
     /// Answers delivered after the final `End` (Thm 3.1 observable: 0).
     pub post_end_answers: u64,
+    /// Logical messages sent so far at each new answer, in arrival order.
+    arrivals: Vec<u64>,
 }
 
 impl EngineSink {
@@ -558,17 +560,23 @@ impl EngineSink {
             answers: Relation::new(answer_arity),
             ends: 0,
             post_end_answers: 0,
+            arrivals: Vec::new(),
         }
     }
 
-    /// Consume one logical message addressed to the engine. `Ok(true)`
-    /// on the final `End`, `Ok(false)` to keep collecting, or a typed
-    /// error — never panics, whatever arrives.
-    pub fn accept(&mut self, msg: Msg) -> Result<bool, RuntimeError> {
+    /// Consume one frame addressed to the engine, `sent` logical
+    /// messages into the run, this frame's items included. `Ok(true)` on
+    /// the final `End`, `Ok(false)` to keep collecting, or a typed error
+    /// — never panics, whatever arrives.
+    pub fn accept(&mut self, msg: Msg, sent: u64) -> Result<bool, RuntimeError> {
         match msg.payload {
             Payload::Answers(tuples) => {
+                // An answer's position does not count the items packed
+                // after it, so framing does not move it.
+                let mut at = sent.saturating_sub(tuples.len() as u64);
                 for tuple in tuples {
-                    self.answer(tuple)?;
+                    at += 1;
+                    self.answer(tuple, at)?;
                 }
             }
             Payload::End => {
@@ -585,19 +593,32 @@ impl EngineSink {
         Ok(false)
     }
 
-    fn answer(&mut self, tuple: Tuple) -> Result<(), RuntimeError> {
+    fn answer(&mut self, tuple: Tuple, sent: u64) -> Result<(), RuntimeError> {
         if self.ends > 0 {
             self.post_end_answers += 1;
         }
         let got = tuple.arity();
-        if self.answers.insert(tuple).is_err() {
-            return Err(RuntimeError::AnswerArity {
+        let fresh = self
+            .answers
+            .insert(tuple)
+            .map_err(|_| RuntimeError::AnswerArity {
                 expected: self.answers.arity(),
                 got,
                 partial_answers: self.answers.len(),
-            });
+            })?;
+        if fresh {
+            self.arrivals.push(sent);
         }
         Ok(())
+    }
+
+    /// Record where the first, median and last new answer arrived.
+    pub fn note_arrivals(&self, stats: &mut Stats) {
+        if let (Some(&first), Some(&last)) = (self.arrivals.first(), self.arrivals.last()) {
+            stats.first_answer_at = first;
+            stats.median_answer_at = self.arrivals[(self.arrivals.len() - 1) / 2];
+            stats.last_answer_at = last;
+        }
     }
 }
 
@@ -927,11 +948,11 @@ mod tests {
             payload,
         };
         assert_eq!(
-            sink.accept(to_engine(Payload::Answers(Pack::One(tuple![1])))),
+            sink.accept(to_engine(Payload::Answers(Pack::One(tuple![1]))), 1),
             Ok(false)
         );
         assert_eq!(
-            sink.accept(to_engine(Payload::Answers(Pack::One(tuple![1, 2])))),
+            sink.accept(to_engine(Payload::Answers(Pack::One(tuple![1, 2]))), 2),
             Err(RuntimeError::AnswerArity {
                 expected: 1,
                 got: 2,
@@ -939,14 +960,18 @@ mod tests {
             })
         );
         assert_eq!(
-            sink.accept(to_engine(Payload::RelationRequest)),
+            sink.accept(to_engine(Payload::RelationRequest), 3),
             Err(RuntimeError::UnexpectedEngineMessage {
                 kind: "relation_request"
             })
         );
-        assert_eq!(sink.accept(to_engine(Payload::End)), Ok(true));
-        sink.accept(to_engine(Payload::Answers(Pack::One(tuple![2]))))
+        assert_eq!(sink.accept(to_engine(Payload::End), 4), Ok(true));
+        sink.accept(to_engine(Payload::Answers(Pack::One(tuple![2]))), 5)
             .unwrap();
         assert_eq!((sink.ends, sink.post_end_answers), (1, 1));
+        let mut stats = Stats::default();
+        sink.note_arrivals(&mut stats);
+        let at = (stats.first_answer_at, stats.median_answer_at);
+        assert_eq!((at, stats.last_answer_at), ((1, 1), 5), "new answers only");
     }
 }

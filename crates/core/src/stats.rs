@@ -20,13 +20,10 @@ pub struct Stats {
     /// Stream end / end-of-requests messages.
     pub stream_ends: u64,
     /// Logical tuple requests: every binding shipped, however framed.
-    /// Invariant under the batch size.
     pub logical_tuple_requests: u64,
-    /// Logical answers: every tuple shipped, however framed. Invariant
-    /// under the batch size.
+    /// Logical answers: every tuple shipped, however framed.
     pub logical_answers: u64,
-    /// Logical per-binding completions, however framed. Invariant under
-    /// the batch size.
+    /// Logical per-binding completions, however framed.
     pub logical_end_tuple_requests: u64,
     /// §3.2 protocol messages (end request / negative / confirmed /
     /// finished).
@@ -128,12 +125,23 @@ pub struct Stats {
     /// flat (negation/aggregation-free) program, the number of pipeline
     /// stages — strata plus aggregate materializations — otherwise.
     pub strata_evaluated: u64,
+
+    // ---- answer arrival (set from the engine endpoint; 0 = no answer) ----
+    /// Logical messages sent, counted as [`Stats::logical_messages`]
+    /// counts them, when the first new answer reached the engine — how
+    /// early §3.1's pipeline delivers. [`Stats::answer_arrival`] turns
+    /// this and the next two into fractions of the run's total.
+    pub first_answer_at: u64,
+    /// The same at the median new answer (the lower one of an even count).
+    pub median_answer_at: u64,
+    /// The same at the last new answer.
+    pub last_answer_at: u64,
 }
 
 /// The seven schedule-invariant counters of one evaluation (Thm 4.1):
 /// the logical traffic and the work it caused. For a given program,
 /// database, SIP strategy and analysis setting they are identical under
-/// every schedule, runtime, batch size, worker count, shard count and
+/// every schedule, runtime, framing, worker count, shard count and
 /// recovered fault plan — the projection of [`Stats`] that invariance
 /// tests compare with `==`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -181,8 +189,8 @@ impl Stats {
 
     /// Total *logical* messages: every binding, answer tuple, and
     /// per-binding completion counted individually, plus the kinds that
-    /// never batch. Invariant under batching — two runs of the same
-    /// query at different batch sizes report the same value.
+    /// never batch. Invariant under framing — two runs of the same
+    /// query whose frames split differently report the same value.
     pub fn logical_messages(&self) -> u64 {
         self.relation_requests
             + self.logical_tuple_requests
@@ -190,6 +198,19 @@ impl Stats {
             + self.logical_end_tuple_requests
             + self.stream_ends
             + self.protocol_messages
+    }
+
+    /// Where the first, median and last new answer reached the engine,
+    /// as fractions of all logical messages; `None` without answers.
+    /// Deterministic on the FIFO simulator.
+    pub fn answer_arrival(&self) -> Option<[f64; 3]> {
+        let at = [
+            self.first_answer_at,
+            self.median_answer_at,
+            self.last_answer_at,
+        ];
+        let total = self.logical_messages() as f64;
+        (at[0] > 0).then(|| at.map(|at| at as f64 / total))
     }
 
     /// Work messages (everything except the termination protocol).
@@ -208,7 +229,8 @@ impl Stats {
 
     /// Merge another stats block into this one (used by the threaded
     /// runtime to sum per-node counters). Counters sum; high-water marks
-    /// take the max.
+    /// take the max; answer arrival is this block's own (the other
+    /// block's answers reached some other endpoint, or none at all).
     pub fn merge(&mut self, other: &Stats) {
         // Exhaustive destructuring — deliberately no `..` rest pattern,
         // so adding a counter without deciding how it merges is a
@@ -257,6 +279,9 @@ impl Stats {
             shard_routed_frames,
             shard_max_skew,
             strata_evaluated,
+            first_answer_at: _,
+            median_answer_at: _,
+            last_answer_at: _,
         } = other;
         self.relation_requests += relation_requests;
         self.tuple_requests += tuple_requests;
@@ -398,6 +423,9 @@ impl std::fmt::Display for Stats {
             shard_routed_frames,
             shard_max_skew,
             strata_evaluated,
+            first_answer_at,
+            median_answer_at,
+            last_answer_at,
         } = self;
         writeln!(f, "-- messages (frames)  : {}", self.total_messages())?;
         writeln!(f, "--   relation requests: {relation_requests}")?;
@@ -406,7 +434,7 @@ impl std::fmt::Display for Stats {
         writeln!(f, "--   end requests     : {end_tuple_requests}")?;
         writeln!(f, "--   stream ends      : {stream_ends}")?;
         writeln!(f, "--   protocol         : {protocol_messages}")?;
-        writeln!(f, "-- logical traffic (items; batch-size-invariant)")?;
+        writeln!(f, "-- logical traffic (items; framing-invariant)")?;
         writeln!(f, "--   tuple requests   : {logical_tuple_requests}")?;
         writeln!(f, "--   answers          : {logical_answers}")?;
         writeln!(f, "--   end requests     : {logical_end_tuple_requests}")?;
@@ -445,6 +473,11 @@ impl std::fmt::Display for Stats {
         writeln!(f, "-- shard routed frames: {shard_routed_frames}")?;
         writeln!(f, "-- shard max skew     : {shard_max_skew}")?;
         writeln!(f, "-- strata evaluated   : {strata_evaluated}")?;
+        // Logical messages sent so far, and that as a share of the run.
+        let [a, m, z] = self.answer_arrival().unwrap_or_default();
+        writeln!(f, "-- first answer at    : {first_answer_at} ({a:.3})")?;
+        writeln!(f, "-- median answer at   : {median_answer_at} ({m:.3})")?;
+        writeln!(f, "-- last answer at     : {last_answer_at} ({z:.3})")?;
         writeln!(
             f,
             "-- retransmit overhead: {:.1}%",
@@ -571,6 +604,9 @@ mod tests {
             shard_routed_frames: v,
             shard_max_skew: v,
             strata_evaluated: v,
+            first_answer_at: v,
+            median_answer_at: v,
+            last_answer_at: v,
         }
     }
 
@@ -586,6 +622,10 @@ mod tests {
         expect.mem_high_water_bytes = 2;
         expect.mailbox_high_water = 2;
         expect.shard_max_skew = 2;
+        // Answer arrival is the merged-into block's own.
+        expect.first_answer_at = 1;
+        expect.median_answer_at = 1;
+        expect.last_answer_at = 1;
         assert_eq!(a, expect);
     }
 
@@ -644,11 +684,14 @@ mod tests {
                 shard_routed_frames,
                 shard_max_skew,
                 strata_evaluated,
+                first_answer_at,
+                median_answer_at,
+                last_answer_at,
             );
             let _ = v;
             s.to_string()
         };
-        for v in 1000..1043 {
+        for v in 1000..1046 {
             assert!(
                 text.contains(&format!(": {v}")),
                 "counter value {v} missing from Display output:\n{text}"

@@ -236,28 +236,23 @@ fn unlimited_budget_is_observably_free() {
     );
 }
 
-/// The budget counts *logical* messages, so a trip threshold behaves
-/// identically at every batch size (batching invariance, Thm 4.1 style).
+/// The budget counts *logical* messages, so a trip threshold means the
+/// same whatever the framing (Thm 4.1 style): a budget the run's frames
+/// fit in, but not its items, still trips.
 #[test]
 fn message_budget_is_batching_invariant() {
-    let scalar = runtime_err(
+    let full = tc_dense(12).evaluate().unwrap().stats;
+    let (frames, items) = (full.total_messages(), full.logical_messages());
+    assert!(frames < items, "{frames} frames for {items} items");
+    let err = runtime_err(
         tc_dense(12)
-            .with_budget(QueryBudget::new().with_max_messages(40))
+            .with_budget(QueryBudget::new().with_max_messages(frames))
             .evaluate()
             .unwrap_err(),
     );
-    let batched = runtime_err(
-        tc_dense(12)
-            .with_batch_size(16)
-            .with_budget(QueryBudget::new().with_max_messages(40))
-            .evaluate()
-            .unwrap_err(),
-    );
-    match (&scalar, &batched) {
-        (
-            RuntimeError::BudgetExceeded { resource: ra, .. },
-            RuntimeError::BudgetExceeded { resource: rb, .. },
-        ) => assert_eq!(ra, rb),
-        other => panic!("expected two BudgetExceeded errors, got {other:?}"),
-    }
+    let RuntimeError::BudgetExceeded { resource, used, .. } = err else {
+        panic!("expected BudgetExceeded, got {err}");
+    };
+    assert_eq!(resource, Trip::Messages);
+    assert!(used > frames, "tripped at {used} of {frames}");
 }

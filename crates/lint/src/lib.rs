@@ -208,8 +208,7 @@ pub enum Code {
     /// abstraction — the rule can never fire and is pruned from the
     /// rule/goal graph when analysis pruning is enabled.
     DeadRule,
-    /// A link's estimated message volume exceeds the hot-link threshold;
-    /// consider a larger `--batch-size` on this program.
+    /// A link's estimated message volume exceeds the hot-link threshold.
     HotLink,
     /// A temporary relation has no hash-partition key consistent with all
     /// of its producing/consuming links: K-way sharding (ROADMAP item 1)

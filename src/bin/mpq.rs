@@ -15,10 +15,6 @@
 //!                                 by partition-key hash (answers are
 //!                                 bit-identical to --shards 1; MP108
 //!                                 warns when no node can split)
-//!   --batch-size N                tuples per data-plane frame: above
-//!                                 1, tuple requests, answers and ends
-//!                                 are packaged per arc (§3.1 fn 2);
-//!                                 1 (the default) = one item a frame
 //!   --chaos SEED                  inject seeded link faults (drop,
 //!                                 duplicate, delay, corrupt) and rely
 //!                                 on the recovery transport
@@ -65,7 +61,6 @@ struct Options {
     runtime: RuntimeKind,
     workers: Option<usize>,
     shards: Option<usize>,
-    batch_size: Option<usize>,
     chaos: Option<u64>,
     recovery: bool,
     deadline: Option<u64>,
@@ -87,7 +82,6 @@ fn parse_args() -> Result<Options, String> {
         runtime: RuntimeKind::Sim(Schedule::Fifo),
         workers: None,
         shards: None,
-        batch_size: None,
         chaos: None,
         recovery: true,
         deadline: None,
@@ -137,14 +131,6 @@ fn parse_args() -> Result<Options, String> {
                 }
                 opts.shards = Some(k);
             }
-            "--batch-size" => {
-                let v = args.next().ok_or("--batch-size needs a value")?;
-                let n: usize = v.parse().map_err(|_| format!("bad batch size `{v}`"))?;
-                if n == 0 {
-                    return Err("--batch-size must be at least 1".to_string());
-                }
-                opts.batch_size = Some(n);
-            }
             "--chaos" => {
                 let v = args.next().ok_or("--chaos needs a seed")?;
                 opts.chaos = Some(v.parse().map_err(|_| "bad chaos seed")?);
@@ -193,7 +179,7 @@ fn parse_args() -> Result<Options, String> {
 }
 
 const USAGE: &str = "usage: mpq [--sip S] [--schedule fifo|random:SEED] [--threads] \
-[--workers N] [--shards K] [--batch-size N] [--chaos SEED] [--no-recovery] \
+[--workers N] [--shards K] [--chaos SEED] [--no-recovery] \
 [--deadline SECS] [--msg-budget N] [--mem-budget BYTES] [--mailbox-bound N] [--stats] \
 [--dot] [--explain] [--trace FILE] [--check] [--baseline B] [FILE]";
 
@@ -286,9 +272,6 @@ fn main() -> ExitCode {
     }
     if let Some(k) = opts.shards {
         engine = engine.with_shards(k);
-    }
-    if let Some(n) = opts.batch_size {
-        engine = engine.with_batch_size(n);
     }
     if let Some(seed) = opts.chaos {
         engine = engine.with_fault_plan(FaultPlan::seeded(seed));

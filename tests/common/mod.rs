@@ -66,7 +66,6 @@ pub struct Config {
     /// Pool size; the simulator ignores it.
     pub workers: usize,
     pub shards: usize,
-    pub batch: usize,
     pub sip: SipKind,
     pub analysis: bool,
     /// `None`: no transport. See [`fault`] for the named plans.
@@ -83,15 +82,14 @@ impl Default for Config {
 
 impl Config {
     /// The configuration every other one of its `(sip, analysis)` class is
-    /// compared with: FIFO simulator, one shard, scalar framing, no
-    /// transport. SIP and analysis change the rule/goal graph itself, so
-    /// the logical counters are only comparable within a class.
+    /// compared with: FIFO simulator, one shard, no transport. SIP and
+    /// analysis change the rule/goal graph itself, so the logical
+    /// counters are only comparable within a class.
     pub fn reference(sip: SipKind, analysis: bool) -> Config {
         Config {
             runtime: RuntimeKind::Sim(Schedule::Fifo),
             workers: 2,
             shards: 1,
-            batch: 1,
             sip,
             analysis,
             fault: None,
@@ -134,7 +132,6 @@ impl Config {
             .with_runtime(self.runtime)
             .with_workers(self.workers)
             .with_shards(self.shards)
-            .with_batch_size(self.batch)
             .with_sip(self.sip)
             .with_analysis(self.analysis)
             .with_trace(self.trace)
@@ -192,11 +189,6 @@ impl fmt::Display for Config {
         if self.shards != reference.shards {
             write!(f, ".with_shards({})", self.shards)?;
         }
-        if self.batch == usize::MAX {
-            write!(f, ".with_batch_size(usize::MAX)")?;
-        } else if self.batch != reference.batch {
-            write!(f, ".with_batch_size({})", self.batch)?;
-        }
         if self.sip != reference.sip {
             write!(f, ".with_sip(SipKind::{:?})", self.sip)?;
         }
@@ -224,12 +216,11 @@ pub mod lattice {
     use super::*;
 
     /// Axis sizes, in the order [`at`] reads an index vector: runtime,
-    /// shards, batch, fault, governed (mailbox bound 4 + trace), sip,
-    /// analysis.
-    const AXES: [usize; 7] = [3, 3, 3, 4, 2, 2, 2];
+    /// shards, fault, governed (mailbox bound 4 + trace), sip, analysis.
+    const AXES: [usize; 6] = [3, 3, 4, 2, 2, 2];
 
-    fn at(ix: &[usize; 7]) -> Config {
-        let governed = ix[4] == 1;
+    fn at(ix: &[usize; 6]) -> Config {
+        let governed = ix[3] == 1;
         Config {
             runtime: [
                 RuntimeKind::Sim(Schedule::Fifo),
@@ -238,23 +229,22 @@ pub mod lattice {
             ][ix[0]],
             workers: 2,
             shards: [1, 2, 4][ix[1]],
-            batch: [1, 4, usize::MAX][ix[2]],
             fault: [
                 None,
                 fault::zero_rate(),
                 fault::seeded(3),
                 fault::crash(9, 1, 2),
-            ][ix[3]]
+            ][ix[2]]
                 .clone(),
             mailbox_bound: governed.then_some(4),
             trace: governed,
-            sip: [SipKind::Greedy, SipKind::LeftToRight][ix[5]],
-            analysis: ix[6] == 0,
+            sip: [SipKind::Greedy, SipKind::LeftToRight][ix[4]],
+            analysis: ix[5] == 0,
         }
     }
 
-    fn indices() -> Vec<[usize; 7]> {
-        let mut all = vec![[0; 7]];
+    fn indices() -> Vec<[usize; 6]> {
+        let mut all = vec![[0; 6]];
         for (axis, &size) in AXES.iter().enumerate() {
             all = all
                 .into_iter()
@@ -270,7 +260,7 @@ pub mod lattice {
         all
     }
 
-    /// The cross product of every axis: 864 configurations.
+    /// The cross product of every axis: 288 configurations.
     pub fn full() -> Vec<Config> {
         indices().iter().map(at).collect()
     }
@@ -281,14 +271,14 @@ pub mod lattice {
     /// covers the most still-uncovered pairs.
     pub fn quick() -> Vec<Config> {
         let all = indices();
-        let pairs_of = |ix: &[usize; 7]| {
+        let pairs_of = |ix: &[usize; 6]| {
             let ix = *ix;
-            (0..7).flat_map(move |a| (a + 1..7).map(move |b| (a, ix[a], b, ix[b])))
+            (0..6).flat_map(move |a| (a + 1..6).map(move |b| (a, ix[a], b, ix[b])))
         };
         let mut uncovered: std::collections::BTreeSet<_> = all.iter().flat_map(pairs_of).collect();
         let mut picked = Vec::new();
         while !uncovered.is_empty() {
-            let gain = |ix: &[usize; 7]| pairs_of(ix).filter(|p| uncovered.contains(p)).count();
+            let gain = |ix: &[usize; 6]| pairs_of(ix).filter(|p| uncovered.contains(p)).count();
             // `max_by_key` keeps the last maximum; reverse for the first.
             let best = *all
                 .iter()
@@ -333,13 +323,13 @@ pub fn flat_workloads() -> Vec<Workload> {
 /// Cells of the lattice that once failed, kept forever.
 pub fn regressions() -> Vec<(Workload, Config)> {
     vec![
-        // Batching x crash recovery: the replayed process kept items in
-        // its batch buffers that had shipped before the crash and shipped
-        // them again (`logical_tuple_requests` 17 vs 16).
+        // Packaged frames x crash recovery: the replayed process kept
+        // items in its arc buffers that had shipped before the crash and
+        // shipped them again (`logical_tuple_requests` 17 vs 16, first
+        // seen at a flush bound of 4).
         (
             scenarios::tc_cycle(8),
             Config {
-                batch: 4,
                 fault: fault::crash(9, 1, 2),
                 ..Config::default()
             },
@@ -447,7 +437,7 @@ fn run(w: &Workload, c: &Config, oracle: &[Tuple]) -> Result<(QueryResult, bool)
 /// The invariance contract. For each configuration: exactly one `End`,
 /// none after it, answers equal to the oracle's (`PerfectModel` for a
 /// program with `!` or aggregates, `SemiNaive` otherwise), and
-/// `stats.logical()` equal to the FIFO / one-shard / scalar / no-transport
+/// `stats.logical()` equal to the FIFO / one-shard / no-transport
 /// run of the same `(sip, analysis)` class. A traced run whose ring did
 /// not overflow must also pass `mp_trace::check` (the §3.1 stream
 /// discipline, MP311–MP315, included), agree with its own

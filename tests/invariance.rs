@@ -56,13 +56,14 @@ fn quick_lattice_on_the_pool() {
 #[test]
 fn quick_lattice_is_a_small_pairwise_cover_of_the_full_one() {
     let (quick, full) = (lattice::quick(), lattice::full());
-    assert_eq!(full.len(), 864);
+    assert_eq!(full.len(), 288);
     assert!(quick.len() <= 20, "{} configurations", quick.len());
     assert!(quick.iter().all(|c| full.contains(c)));
-    // Spot-check the cover on the pair that hid the batching x crash bug.
+    // Spot-check the cover on the pair that hid the packaged-frames x
+    // crash bug, now that every configuration packages at turn end.
     assert!(quick
         .iter()
-        .any(|c| c.batch > 1 && c.fault.as_ref().is_some_and(|p| !p.crashes.is_empty())));
+        .any(|c| !c.is_pool() && c.fault.as_ref().is_some_and(|p| !p.crashes.is_empty())));
 }
 
 /// One thread per workload: a pool run under a fault plan mostly waits
@@ -219,7 +220,9 @@ fn sim_seeded_plans_and_crashes_at_depth() {
     }
 }
 
-/// Faults compose with adversarial schedules and with every flush bound.
+/// Faults compose with adversarial schedules and with packaged frames,
+/// crashes included: a reborn node must not re-ship what its arc
+/// buffers held before the crash.
 #[test]
 fn sim_seeded_plans_under_random_schedules_and_batching() {
     for w in flat_workloads() {
@@ -229,17 +232,11 @@ fn sim_seeded_plans_under_random_schedules_and_batching() {
                 &Config::random(seed),
                 fault::seeded(seed.wrapping_mul(31)),
             ));
-            for batch in [4, 64] {
-                configs.push(Config {
-                    batch,
-                    ..on(&Config::default(), fault::seeded(seed))
-                });
-            }
+            configs.push(on(&Config::default(), fault::seeded(seed)));
         }
         let nodes = graph_nodes(&w);
-        configs.extend((0..4u64).map(|seed| Config {
-            batch: 64,
-            ..on(
+        configs.extend((0..4u64).map(|seed| {
+            on(
                 &Config::default(),
                 fault::crash(seed, (seed as usize * 7 + 1) % nodes, 2),
             )
@@ -314,7 +311,8 @@ fn pool_sizes_match_the_reference() {
 
 /// K ∈ {1, 2, 3, 4, 8} under FIFO and six random schedules. Physical
 /// frame counts grow with K (one stream per shard arc); the logical
-/// counters, the EDB lookups and the answer frames do not.
+/// counters and the EDB lookups do not. Answer frames follow where
+/// turns end, so only the tuples they carry are fixed.
 #[test]
 fn sim_shard_counts_match_the_reference() {
     for w in flat_workloads() {
@@ -333,7 +331,7 @@ fn sim_shard_counts_match_the_reference() {
             let runs = assert_invariant(&w, &configs).runs;
             for r in &runs {
                 assert_eq!(r.stats.edb_lookups, runs[0].stats.edb_lookups, "{}", w.name);
-                assert_eq!(r.stats.answers, runs[0].stats.answers, "{}", w.name);
+                assert!(r.stats.answers <= r.stats.logical_answers, "{}", w.name);
                 if shards == 1 {
                     assert_eq!(r.stats.shard_routed_frames, 0, "{}", w.name);
                 }
@@ -428,10 +426,6 @@ fn traced_runs_check_clean_and_replay() {
     for w in flat_workloads() {
         let mut configs = vec![Config::default().traced()];
         configs.extend((0..16).map(|seed| Config::random(seed).traced()));
-        configs.extend([4, 64].map(|batch| Config {
-            batch,
-            ..Config::default().traced()
-        }));
         assert_invariant(&w, &configs);
     }
 }
@@ -612,7 +606,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Random flat programs: SIPs, flush bounds, analysis
+// Random flat programs: SIPs, schedules, analysis
 // ---------------------------------------------------------------------
 
 fn random_flat(spec: &ProgramSpec, seed: u64) -> Option<Workload> {
@@ -624,22 +618,20 @@ fn random_flat(spec: &ProgramSpec, seed: u64) -> Option<Workload> {
     })
 }
 
-/// The flush bounds the suite sweeps: small, the CLI's default, and
-/// effectively unbounded (only the turn bound fires).
-const BATCH_SIZES: [usize; 3] = [4, 64, usize::MAX];
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Random program x random SIP x every flush bound, clean channels.
+    /// Random program x random SIP, clean channels: frames packaged at
+    /// turn end carry the FIFO run's logical traffic under a random
+    /// schedule too, where turns end at different points.
     #[test]
     fn batched_equals_scalar_on_random_programs(seed in 0u64..10_000, sip_idx in 0usize..5) {
         if let Some(w) = random_flat(&ProgramSpec::default(), seed) {
-            let configs = BATCH_SIZES.map(|batch| Config {
-                batch,
-                sip: SipKind::ALL[sip_idx],
-                ..Config::default()
-            });
+            let sip = SipKind::ALL[sip_idx];
+            let configs = [
+                Config { sip, ..Config::default() },
+                Config { sip, ..Config::random(seed) },
+            ];
             assert_invariant(&w, &configs);
         }
     }
@@ -650,14 +642,10 @@ proptest! {
         seed in 0u64..10_000,
         fault_seed in 0u64..1_000_000,
         sched_seed in 0u64..1_000_000,
-        batch_idx in 0usize..3,
     ) {
         let spec = ProgramSpec { idb_preds: 2, max_body: 2, ..ProgramSpec::default() };
         if let Some(w) = random_flat(&spec, seed) {
-            let config = Config {
-                batch: BATCH_SIZES[batch_idx],
-                ..on(&Config::random(sched_seed), fault::seeded(fault_seed))
-            };
+            let config = on(&Config::random(sched_seed), fault::seeded(fault_seed));
             assert_invariant(&w, &[config]);
         }
     }
